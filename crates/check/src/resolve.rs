@@ -32,7 +32,7 @@ use crate::summaries::{CallEv, FileFacts, FnFact, GuardEv, LocalHint, OpKind};
 pub enum Class {
     /// `ShardMap`'s own shard locks, before substitution.
     SelfLock,
-    /// A named lock class (e.g. `coord.inner`, `runner.trace_file`).
+    /// A named lock class (e.g. `svc.inner`, `runner.trace_file`).
     Named(String),
 }
 
@@ -47,9 +47,7 @@ impl std::fmt::Display for Class {
 
 /// The lock-class annotation table: `(owner type, field, class)`.
 /// `@self` marks the shard-lock vector inside `ShardMap` itself.
-pub const LOCK_CLASSES: [(&str, &str, &str); 10] = [
-    ("Coordinator", "inner", "coord.inner"),
-    ("ResultStore", "inner", "store.inner"),
+pub const LOCK_CLASSES: [(&str, &str, &str); 8] = [
     ("Service", "inner", "svc.inner"),
     ("Runner", "ck_lru", "runner.ck_lru"),
     ("Runner", "trace_file", "runner.trace_file"),
@@ -354,11 +352,15 @@ impl Workspace {
                 return Some((Workspace::pick(cands, id.file)?, info.lock));
             }
             // Unknown receiver: unique-method-name fallback, so calls like
-            // `coord.wait_drained()` on an untyped local still link.
+            // `svc.wait_drained()` on an untyped local still link — unless
+            // the call passes arguments the candidate cannot take (a
+            // slice's `join(", ")` is not a zero-argument `Handle::join`).
             if c.name.len() >= 4 && !self.free.contains_key(&c.name) {
-                if let Some(cands) = self.method_names.get(&c.name) {
-                    if cands.len() == 1 {
-                        return Some((cands[0], info.lock));
+                if let Some(&[only]) = self.method_names.get(&c.name).map(Vec::as_slice) {
+                    let passes_args = c.args_end > c.pos + 2;
+                    let takes_args = self.fun(only).params.iter().any(|(n, _)| n != "self");
+                    if takes_args || !passes_args {
+                        return Some((only, info.lock));
                     }
                 }
             }
@@ -403,7 +405,7 @@ impl Workspace {
     }
 
     /// Computes the guard class returned by each guard-returning
-    /// function (e.g. `Coordinator::lock` → `coord.inner`,
+    /// function (e.g. `Service::lock` → `svc.inner`,
     /// `ShardMap::lock_shard` → `SelfLock`), iterating to cover guard
     /// helpers that delegate to other guard helpers.
     #[must_use]
@@ -593,13 +595,13 @@ mod tests {
     #[test]
     fn annotated_fields_resolve_to_their_class() {
         let w = ws(&[(
-            "crates/fleet/src/coord.rs",
-            "struct Coordinator { inner: Mutex<Inner> } \
-             impl Coordinator { fn f(&self) { self.inner.lock().unwrap(); } }",
+            "crates/serve/src/service.rs",
+            "struct Service { inner: Mutex<Inner> } \
+             impl Service { fn f(&self) { self.inner.lock().unwrap(); } }",
         )]);
         let id = FnId { file: 0, idx: 0 };
         let info = w.chain_info(id, &["self".into(), "inner".into()], 0);
-        assert_eq!(info.lock, Some(Class::Named("coord.inner".into())));
+        assert_eq!(info.lock, Some(Class::Named("svc.inner".into())));
     }
 
     #[test]
@@ -642,6 +644,20 @@ mod tests {
     }
 
     #[test]
+    fn unique_name_fallback_respects_arguments() {
+        let w = ws(&[(
+            "crates/serve/src/server.rs",
+            "struct Handle { n: u64 }\n\
+             impl Handle { fn close(self) {} }\n\
+             fn f() { let parts = a(); parts.close(\", \"); let h = b(); h.close(); }",
+        )]);
+        let f = w.live_fns().find(|id| w.fun(*id).name == "f").expect("f");
+        let calls: Vec<&CallEv> = w.fun(f).calls.iter().filter(|c| c.name == "close").collect();
+        assert!(w.resolve_call(f, calls[0]).is_none(), "an argument rules Handle::close out");
+        assert!(w.resolve_call(f, calls[1]).is_some(), "a bare close() still links");
+    }
+
+    #[test]
     fn method_and_free_fn_with_the_same_name_stay_distinct() {
         let w = ws(&[(
             "crates/serve/src/server.rs",
@@ -662,17 +678,17 @@ mod tests {
     #[test]
     fn guard_helper_classes_propagate() {
         let w = ws(&[(
-            "crates/fleet/src/coord.rs",
-            "struct Coordinator { inner: Mutex<Inner> } impl Coordinator { \
+            "crates/serve/src/service.rs",
+            "struct Service { inner: Mutex<Inner> } impl Service { \
              fn lock(&self) -> MutexGuard<'_, Inner> { self.inner.lock().unwrap() } \
              fn submit(&self) { let g = self.lock(); g.push(1); } }",
         )]);
         let gc = w.guard_classes();
         assert_eq!(gc.len(), 1);
-        assert_eq!(gc.values().next(), Some(&Class::Named("coord.inner".into())));
+        assert_eq!(gc.values().next(), Some(&Class::Named("svc.inner".into())));
         // submit's summary shows the helper call as an acquisition.
         let submit = w.live_fns().find(|id| w.fun(*id).name == "submit").unwrap();
         let s = w.summarize(submit, &gc);
-        assert!(s.acquires.iter().any(|a| a.class == Class::Named("coord.inner".into())));
+        assert!(s.acquires.iter().any(|a| a.class == Class::Named("svc.inner".into())));
     }
 }

@@ -84,10 +84,12 @@ const NARROWING_SCOPE: [&str; 4] = [
 /// Service-side code that must degrade gracefully (400 for malformed
 /// requests, recovered poison for locks), never panic: the request
 /// parsers, the shared event loop, and the whole fleet coordinator.
-const UNWRAP_SCOPE: [&str; 4] = [
+const UNWRAP_SCOPE: [&str; 6] = [
     "crates/serve/src/http.rs",
     "crates/serve/src/json.rs",
     "crates/serve/src/eventloop.rs",
+    "crates/serve/src/server.rs",
+    "crates/serve/src/service.rs",
     "crates/fleet/src/",
 ];
 

@@ -52,7 +52,7 @@ pub struct CallEv {
     pub name: String,
     /// Method receiver chain; empty for free and path calls.
     pub chain: Vec<String>,
-    /// Qualifying path segments (`CoordMetrics::inc` → `["CoordMetrics"]`);
+    /// Qualifying path segments (`Metrics::inc` → `["Metrics"]`);
     /// empty for method and free calls.
     pub path: Vec<String>,
     /// Token position of the call's closing parenthesis.

@@ -149,23 +149,25 @@ fn lock_order_mutation_produces_exactly_one_finding() {
     let mut files = workspace_sources();
     let baseline = analyze_sources(&files);
     assert!(baseline.errors().is_empty(), "baseline dirty: {:#?}", baseline.errors());
-    // Plant the reverse edge: take the store lock, then the coordinator
-    // lock (submit already takes them in the opposite order).
-    let store = files
+    // Plant the reverse edge: take a checkpoint shard lock, then the
+    // checkpoint LRU lock (`cache_checkpoint` takes them in the opposite
+    // order when it evicts).
+    let runner = files
         .iter_mut()
-        .find(|(p, _)| p == "crates/fleet/src/store.rs")
-        .expect("store.rs present");
-    store.1.push_str(
-        "\nimpl ResultStore {\n    fn cross(&self, c: &Coordinator) -> usize {\n        \
-         let g = self.inner.lock().expect(\"inner\");\n        let h = c.lock();\n        \
-         g.map.len()\n    }\n}\n",
+        .find(|(p, _)| p == "crates/bench/src/runner.rs")
+        .expect("runner.rs present");
+    runner.1.push_str(
+        "\nimpl Runner {\n    \
+         fn cross(&self, key: CkKey, ck: Arc<Checkpoint>) -> Arc<Checkpoint> {\n        \
+         self.checkpoints.get_or_insert_with(key, || {\n            \
+         let _lru = self.ck_lru.lock().expect(\"lru\");\n            ck\n        })\n    }\n}\n",
     );
     let mutated = analyze_sources(&files);
     let errors = mutated.errors();
     assert_eq!(errors.len(), 1, "{errors:#?}");
     assert_eq!(errors[0].rule, "lock-order");
-    assert!(errors[0].message.contains("coord.inner"), "{}", errors[0].message);
-    assert!(errors[0].message.contains("store.inner"), "{}", errors[0].message);
+    assert!(errors[0].message.contains("runner.ck_lru"), "{}", errors[0].message);
+    assert!(errors[0].message.contains("runner.checkpoints"), "{}", errors[0].message);
 }
 
 #[test]

@@ -9,8 +9,8 @@ use smtx_fleet::{CoordConfig, Placement};
 
 const USAGE: &str = "usage: smtx-coord --node HOST:PORT [--node HOST:PORT ...] \
  [--addr HOST] [--port N] [--placement shard|round-robin|least-loaded] \
- [--dispatchers N] [--steal-depth N] [--store-cap N] [--queue-cap N] \
- [--results-cap N] [--deadline-ms N] [--node-timeout-ms N] [--poll-ms N]";
+ [--dispatchers N] [--steal-depth N] [--queue-cap N] [--results-cap N] \
+ [--deadline-ms N] [--node-timeout-ms N] [--poll-ms N]";
 
 struct Opts {
     addr: String,
@@ -45,9 +45,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
             }
             "--steal-depth" => {
                 opts.config.steal_depth = num("--steal-depth", &value_for("--steal-depth")?)?;
-            }
-            "--store-cap" => {
-                opts.config.store_cap = num("--store-cap", &value_for("--store-cap")?)?;
             }
             "--queue-cap" => {
                 opts.config.queue_cap = num("--queue-cap", &value_for("--queue-cap")?)?;

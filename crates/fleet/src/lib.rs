@@ -2,12 +2,14 @@
 //!
 //! A fleet is N independent `smtxd` nodes fronted by one `smtx-coord`
 //! coordinator speaking the **same HTTP API** as a single node — clients
-//! and tooling work against either, unchanged. The coordinator adds what
-//! a lone node cannot have: digest-sharded placement (the same spec
-//! always lands on the same node and reuses its runner caches), work
-//! stealing away from deep queues, a fleet-wide content-addressed result
-//! store (cross-node cache hits are first-class metrics), and redispatch
-//! of in-flight jobs when a node dies. Results stay **byte-identical** to
+//! and tooling work against either, unchanged. The coordinator is the
+//! node's own job service with a [`Remote`] executor, which adds what a
+//! lone node cannot have: digest-sharded placement (the same spec always
+//! lands on the same node and reuses its runner caches), work stealing
+//! away from deep queues, a fleet-wide content-addressed result store
+//! (the job table's finished records; cross-node cache hits are
+//! first-class metrics), and redispatch of in-flight jobs when a node
+//! dies. Results stay **byte-identical** to
 //! a lone node's and to the figure binaries' `--json` output — the
 //! simulator is deterministic, so where a job runs can never change what
 //! it answers.
@@ -25,9 +27,5 @@
 #![warn(missing_docs)]
 
 pub mod coord;
-pub mod metrics;
-pub mod store;
 
-pub use coord::{home_of, start, CoordConfig, CoordHandle, Coordinator, Placement};
-pub use metrics::CoordMetrics;
-pub use store::{ResultStore, StoreEntry};
+pub use coord::{home_of, start, CoordConfig, CoordHandle, Placement, Remote};

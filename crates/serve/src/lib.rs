@@ -16,6 +16,10 @@
 //! `tests/serve_loopback.rs` (workspace root) and the `serve-smoke` CI job
 //! hold the identity and shutdown guarantees.
 //!
+//! The job table, router and batch stream are shared with the fleet
+//! coordinator: a [`Service`] runs jobs through an [`Executor`], which is
+//! [`Local`] here and `smtx_fleet::coord::Remote` in `smtx-coord`.
+//!
 //! The implementation is std-only (nonblocking TcpListener + a
 //! readiness-polling reactor, hand-rolled HTTP/JSON) because the workspace
 //! builds offline. One reactor thread multiplexes every connection
@@ -34,4 +38,4 @@ pub mod service;
 pub use json::Json;
 pub use metrics::Metrics;
 pub use server::{start, Handle};
-pub use service::{JobSpec, JobState, Service, ServiceConfig, Submit};
+pub use service::{Exec, Executor, JobSpec, JobState, Local, Service, ServiceConfig, Submit};

@@ -1,9 +1,11 @@
 //! Service counters behind `GET /metrics`.
 //!
-//! Rendered in the plaintext `name value` format scrapers expect. The
-//! runner's cache counters are appended through
+//! Rendered in the plaintext `name value` format scrapers expect, under
+//! `smtxd_*` on a node and `smtx_coord_*` on a coordinator — one schema,
+//! so the load generator's quantile math reads either surface. A node's
+//! runner cache counters are appended through
 //! [`smtx_bench::report::runner_stats_fields`], so `/metrics` exposes
-//! exactly the fields `Report::to_json` writes — one schema, two surfaces.
+//! exactly the fields `Report::to_json` writes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -25,7 +27,7 @@ pub struct Metrics {
     pub jobs_deduped: AtomicU64,
     /// Jobs that finished with a result.
     pub jobs_completed: AtomicU64,
-    /// Jobs that failed (panic or invalid at execution time).
+    /// Jobs that failed (panic, node rejection, or deadline).
     pub jobs_failed: AtomicU64,
     /// Submissions bounced because the queue was full (429).
     pub jobs_rejected_full: AtomicU64,
@@ -58,10 +60,18 @@ impl Metrics {
         hist[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the plaintext exposition: service counters, live gauges,
-    /// then the shared runner cache counters.
+    /// Renders the shared exposition under `namespace` (`smtxd` or
+    /// `smtx_coord`): counters, then the queue and worker-pool gauges,
+    /// then the two latency histograms. The executor appends its own
+    /// lines after these.
     #[must_use]
-    pub fn render(&self, queue_depth: usize, workers_busy: usize, workers_total: usize, runner: &RunnerStats) -> String {
+    pub fn render(
+        &self,
+        (namespace, pool): (&str, &str),
+        queue_depth: usize,
+        busy: usize,
+        total: usize,
+    ) -> String {
         let mut out = String::new();
         let counters: [(&str, &AtomicU64); 11] = [
             ("http_requests", &self.http_requests),
@@ -77,21 +87,26 @@ impl Metrics {
             ("batch_jobs", &self.batch_jobs),
         ];
         for (name, c) in counters {
-            out.push_str(&format!("smtxd_{name} {}\n", c.load(Ordering::Relaxed)));
+            out.push_str(&format!("{namespace}_{name} {}\n", c.load(Ordering::Relaxed)));
         }
-        out.push_str(&format!("smtxd_queue_depth {queue_depth}\n"));
-        out.push_str(&format!("smtxd_workers_busy {workers_busy}\n"));
-        out.push_str(&format!("smtxd_workers_total {workers_total}\n"));
-        render_hist(&mut out, "smtxd_queue_wait_ms", &load_hist(&self.queue_wait_ms));
-        render_hist(&mut out, "smtxd_exec_ms", &load_hist(&self.exec_ms));
-        for (name, value) in runner_stats_fields(runner) {
-            out.push_str(&format!("smtxd_runner_{name} {value}\n"));
-        }
-        for (name, buckets) in runner_hist_fields(runner) {
-            let prefix = format!("smtxd_runner_{}", name.trim_end_matches("_hist"));
-            render_hist(&mut out, &prefix, &buckets);
+        out.push_str(&format!("{namespace}_queue_depth {queue_depth}\n"));
+        out.push_str(&format!("{namespace}_{pool}_busy {busy}\n"));
+        out.push_str(&format!("{namespace}_{pool}_total {total}\n"));
+        for (name, hist) in [("queue_wait_ms", &self.queue_wait_ms), ("exec_ms", &self.exec_ms)] {
+            render_hist(&mut out, &format!("{namespace}_{name}"), &load_hist(hist));
         }
         out
+    }
+}
+
+/// Appends the runner's cache counters and histograms under `prefix` —
+/// exactly the fields `Report::to_json` writes.
+pub(crate) fn render_runner(out: &mut String, prefix: &str, runner: &RunnerStats) {
+    for (name, value) in runner_stats_fields(runner) {
+        out.push_str(&format!("{prefix}_{name} {value}\n"));
+    }
+    for (name, buckets) in runner_hist_fields(runner) {
+        render_hist(out, &format!("{prefix}_{}", name.trim_end_matches("_hist")), &buckets);
     }
 }
 
@@ -132,7 +147,8 @@ mod tests {
             sim_ms_hist: [1, 0, 0, 0, 0, 0, 0, 2],
             ..RunnerStats::default()
         };
-        let text = m.render(1, 2, 4, &stats);
+        let mut text = m.render(("smtxd", "workers"), 1, 2, 4);
+        render_runner(&mut text, "smtxd_runner", &stats);
         assert!(text.contains("smtxd_jobs_accepted 2\n"));
         assert!(text.contains("smtxd_queue_depth 1\n"));
         assert!(text.contains("smtxd_workers_busy 2\n"));

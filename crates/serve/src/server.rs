@@ -1,5 +1,7 @@
-//! The `smtxd` TCP front end: event-loop reactor, routing, and graceful
-//! shutdown.
+//! The TCP front end both daemons share: event-loop reactor, routing,
+//! the batch stream, and graceful shutdown, over a [`Service`] with any
+//! [`Executor`] — `smtxd` serves [`Local`], `smtx-coord` serves
+//! `smtx_fleet::coord::Remote`.
 //!
 //! ## API
 //!
@@ -9,10 +11,10 @@
 //! | `POST /v1/batch`         | submit many specs at once → `200` NDJSON stream, one terminal frame per job as results land |
 //! | `GET /v1/jobs/<id>`      | status metadata (state, spec, error) |
 //! | `GET /v1/jobs/<id>/result` | the finished report JSON, **verbatim** `Report::to_json` — byte-comparable with a figure binary's `--json` file |
-//! | `GET /v1/jobs/<id>/trace` | the captured binary trace (`application/octet-stream`) of a finished `"trace": true` kernel run |
+//! | `GET /v1/jobs/<id>/trace` | the captured binary trace (`application/octet-stream`) of a finished `"trace": true` kernel run (a coordinator answers 404: traces stay on the executing node) |
 //! | `GET /metrics`           | plaintext counters |
 //! | `GET /healthz`           | liveness (`503` once draining) |
-//! | `POST /v1/shutdown`      | begin draining; the daemon exits after in-flight jobs finish |
+//! | `POST /v1/shutdown`      | begin draining; the daemon exits after in-flight jobs finish (a coordinator given `{"fleet": true}` then shuts its nodes down too) |
 //!
 //! Connections are serviced by the nonblocking reactor in
 //! [`crate::eventloop`] — one thread multiplexes every client, so held or
@@ -56,29 +58,24 @@ use crate::eventloop::{self, Outcome, Router, Streamer};
 use crate::http::{BadRequest, Request};
 use crate::json::{quote, Json};
 use crate::metrics::Metrics;
-use crate::service::{JobState, JobSpec, Service, ServiceConfig, Submit};
+use crate::service::{Executor, JobSpec, JobState, Local, Service, ServiceConfig, Submit};
 
 const JSON: &str = "application/json";
 const TEXT: &str = "text/plain; charset=utf-8";
 const NDJSON: &str = "application/x-ndjson";
 
-/// What routing needs: the service and the reactor stop flag (the
-/// shutdown watcher flips it once the drain completes).
-#[derive(Clone)]
-struct Ctx {
-    svc: Arc<Service>,
-    stopped: Arc<AtomicBool>,
-}
-
 /// A running daemon: the bound address, the shared service, and the join
 /// handle for the reactor thread.
-pub struct Handle {
-    ctx: Ctx,
+pub struct Handle<E: Executor = Local> {
+    svc: Arc<Service<E>>,
+    /// The reactor stop flag (the shutdown watcher flips it once the
+    /// drain completes).
+    stopped: Arc<AtomicBool>,
     addr: SocketAddr,
     reactor: Option<JoinHandle<()>>,
 }
 
-impl Handle {
+impl<E: Executor> Handle<E> {
     /// The address the daemon actually bound (port 0 resolves here).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
@@ -87,23 +84,26 @@ impl Handle {
 
     /// The shared service state (tests assert cache counters through it).
     #[must_use]
-    pub fn service(&self) -> Arc<Service> {
-        Arc::clone(&self.ctx.svc)
+    pub fn service(&self) -> Arc<Service<E>> {
+        Arc::clone(&self.svc)
     }
 
     /// Waits for the daemon to exit (i.e. for a shutdown to complete).
     pub fn join(mut self) {
         if let Some(t) = self.reactor.take() {
-            t.join().expect("reactor exits cleanly");
+            if let Err(panic) = t.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 
-    /// Programmatic shutdown (what `POST /v1/shutdown` does): drain
-    /// in-flight jobs, stop accepting, wait for the daemon to exit.
+    /// Programmatic shutdown (what `POST /v1/shutdown` does, without the
+    /// fleet fan-out): drain in-flight jobs, stop accepting, wait for the
+    /// daemon to exit.
     pub fn shutdown_and_join(self) {
-        self.ctx.svc.begin_shutdown();
-        self.ctx.svc.wait_drained();
-        self.ctx.stopped.store(true, Ordering::SeqCst);
+        self.svc.begin_shutdown();
+        self.svc.wait_drained();
+        self.stopped.store(true, Ordering::SeqCst);
         self.join();
     }
 
@@ -113,32 +113,41 @@ impl Handle {
     /// wind down so the process can still be joined. This simulates a
     /// node crash as observed from the network.
     pub fn abort(self) {
-        self.ctx.svc.begin_shutdown();
-        self.ctx.stopped.store(true, Ordering::SeqCst);
+        self.svc.begin_shutdown();
+        self.stopped.store(true, Ordering::SeqCst);
         // Deliberately NOT joining: a crashed node does not wait for its
         // in-flight work. The reactor thread unblocks on its next tick
         // and exits once the (drained) workers do.
     }
 }
 
-/// Binds `addr`, spawns the worker pool and the reactor, and returns
-/// immediately.
+/// Binds `addr` and serves a [`Local`] service built from `config` (the
+/// `smtxd` daemon); returns immediately.
 pub fn start(addr: &str, config: ServiceConfig) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let service = Service::new(config.clone());
-    let ctx = Ctx { svc: service, stopped: Arc::new(AtomicBool::new(false)) };
+    let local = Local::new(&config);
+    serve(listener, Service::new(config, local))
+}
 
-    let mut workers = Vec::new();
-    for _ in 0..config.workers.max(1) {
-        let svc = Arc::clone(&ctx.svc);
-        workers.push(std::thread::spawn(move || svc.worker_loop()));
-    }
-
+/// Serves `svc` on `listener`: spawns its worker pool and the reactor, and
+/// returns immediately.
+pub fn serve<E: Executor>(
+    listener: TcpListener,
+    svc: Arc<Service<E>>,
+) -> std::io::Result<Handle<E>> {
+    let addr = listener.local_addr()?;
+    let stopped = Arc::new(AtomicBool::new(false));
+    let workers: Vec<JoinHandle<()>> = (0..svc.config.workers.max(1))
+        .map(|_| {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.worker_loop())
+        })
+        .collect();
     let reactor = {
-        let router: Arc<dyn Router> = Arc::new(Daemon { ctx: ctx.clone() });
-        let stopped = Arc::clone(&ctx.stopped);
-        let svc = Arc::clone(&ctx.svc);
+        let router: Arc<dyn Router> =
+            Arc::new(Daemon { svc: Arc::clone(&svc), stopped: Arc::clone(&stopped) });
+        let stopped = Arc::clone(&stopped);
+        let svc = Arc::clone(&svc);
         std::thread::spawn(move || {
             eventloop::run(listener, &router, &stopped);
             // The reactor only exits when `stopped` is set, which every
@@ -146,12 +155,13 @@ pub fn start(addr: &str, config: ServiceConfig) -> std::io::Result<Handle> {
             // dry. An abort also drains — it just doesn't wait.
             svc.begin_shutdown();
             for w in workers {
-                w.join().expect("worker exits after drain");
+                if let Err(panic) = w.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         })
     };
-
-    Ok(Handle { ctx, addr: local, reactor: Some(reactor) })
+    Ok(Handle { svc, stopped, addr, reactor: Some(reactor) })
 }
 
 /// Error-body helper: every non-2xx answer is still JSON.
@@ -163,62 +173,84 @@ fn full(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Ou
     Outcome::Full { status, content_type, body: body.into() }
 }
 
-/// The daemon's router: the HTTP surface documented at the top of this
-/// module, served from the reactor thread.
-struct Daemon {
-    ctx: Ctx,
+/// The router: the HTTP surface documented at the top of this module,
+/// served from the reactor thread.
+struct Daemon<E: Executor> {
+    svc: Arc<Service<E>>,
+    stopped: Arc<AtomicBool>,
 }
 
-impl Router for Daemon {
+impl<E: Executor> Router for Daemon<E> {
+    /// Routes one request. The only binary-bodied answer is the trace
+    /// download; the only streaming answer is the batch submission.
     fn route(&self, req: &Request) -> Outcome {
-        Metrics::inc(&self.ctx.svc.metrics.http_requests);
-        route(req, &self.ctx)
+        let svc = &self.svc;
+        Metrics::inc(&svc.metrics.http_requests);
+        if req.method == "GET" {
+            if let Some(id) =
+                req.path.strip_prefix("/v1/jobs/").and_then(|r| r.strip_suffix("/trace"))
+            {
+                return job_trace(id, svc);
+            }
+        }
+        match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/v1/jobs") => post_job(req, svc),
+            ("POST", "/v1/batch") => post_batch(req, svc),
+            ("POST", "/v1/shutdown") => {
+                let (reply, pass_on) = svc.executor.shutdown_reply(&req.body);
+                self.begin_shutdown_async(pass_on);
+                full(200, JSON, reply)
+            }
+            ("GET", "/metrics") => full(200, TEXT, svc.metrics_text()),
+            ("GET", "/healthz") => {
+                if svc.draining() {
+                    full(503, JSON, err_body("draining"))
+                } else {
+                    full(200, JSON, "{\"ok\": true}\n")
+                }
+            }
+            ("GET", path) => {
+                if let Some(rest) = path.strip_prefix("/v1/jobs/") {
+                    job_get(rest, svc)
+                } else {
+                    full(404, JSON, err_body(&format!("no such path `{path}`")))
+                }
+            }
+            (method, path) => full(405, JSON, err_body(&format!("{method} {path} not supported"))),
+        }
     }
 
     fn bad_request(&self, err: &BadRequest) -> Outcome {
-        Metrics::inc(&self.ctx.svc.metrics.bad_requests);
+        Metrics::inc(&self.svc.metrics.bad_requests);
         full(400, JSON, err_body(&err.0))
     }
 }
 
-/// Routes one request. The only binary-bodied answer is the trace
-/// download; the only streaming answer is the batch submission.
-fn route(req: &Request, ctx: &Ctx) -> Outcome {
-    let svc = &ctx.svc;
-    if req.method == "GET" {
-        if let Some(id) =
-            req.path.strip_prefix("/v1/jobs/").and_then(|r| r.strip_suffix("/trace"))
-        {
-            return job_trace(id, svc);
+impl<E: Executor> Daemon<E> {
+    /// The HTTP-triggered shutdown: draining flips *before* the handler
+    /// answers — a submission racing the shutdown response can only see
+    /// 503, never a connection reset — and the drain-wait runs on a
+    /// watcher thread (the reactor must keep running to deliver the
+    /// response and any open batch streams).
+    fn begin_shutdown_async(&self, pass_on: bool) {
+        if self.svc.draining() {
+            return;
         }
-    }
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/jobs") => submit(req, svc),
-        ("POST", "/v1/batch") => batch(req, svc),
-        ("POST", "/v1/shutdown") => {
-            begin_shutdown_async(ctx);
-            full(200, JSON, "{\"draining\": true}\n")
-        }
-        ("GET", "/metrics") => full(200, TEXT, svc.metrics_text()),
-        ("GET", "/healthz") => {
-            if svc.draining() {
-                full(503, JSON, err_body("draining"))
-            } else {
-                full(200, JSON, "{\"ok\": true}\n")
-            }
-        }
-        ("GET", path) => {
-            if let Some(rest) = path.strip_prefix("/v1/jobs/") {
-                job_get(rest, svc)
-            } else {
-                full(404, JSON, err_body(&format!("no such path `{path}`")))
-            }
-        }
-        (method, path) => full(405, JSON, err_body(&format!("{method} {path} not supported"))),
+        self.svc.begin_shutdown();
+        let svc = Arc::clone(&self.svc);
+        let stopped = Arc::clone(&self.stopped);
+        std::thread::spawn(move || {
+            svc.wait_drained();
+            svc.executor.drained(pass_on);
+            stopped.store(true, Ordering::SeqCst);
+        });
     }
 }
 
-fn job_trace(id: &str, svc: &Arc<Service>) -> Outcome {
+fn job_trace<E: Executor>(id: &str, svc: &Service<E>) -> Outcome {
+    if let Some(why) = svc.executor.trace_refusal() {
+        return full(404, JSON, err_body(why));
+    }
     match svc.state(id) {
         None => full(404, JSON, err_body(&format!("unknown job `{id}`"))),
         Some(JobState::Done(_)) => match svc.trace(id) {
@@ -230,7 +262,7 @@ fn job_trace(id: &str, svc: &Arc<Service>) -> Outcome {
     }
 }
 
-fn parse_spec_body(body: &[u8], svc: &Arc<Service>) -> Result<Json, Outcome> {
+fn parse_spec_body<E: Executor>(body: &[u8], svc: &Service<E>) -> Result<Json, Outcome> {
     let text = std::str::from_utf8(body).map_err(|_| {
         Metrics::inc(&svc.metrics.bad_requests);
         full(400, JSON, err_body("body is not UTF-8"))
@@ -241,7 +273,8 @@ fn parse_spec_body(body: &[u8], svc: &Arc<Service>) -> Result<Json, Outcome> {
     })
 }
 
-fn submit(req: &Request, svc: &Arc<Service>) -> Outcome {
+/// `POST /v1/jobs`.
+fn post_job<E: Executor>(req: &Request, svc: &Service<E>) -> Outcome {
     let parsed = match parse_spec_body(&req.body, svc) {
         Ok(v) => v,
         Err(out) => return out,
@@ -279,7 +312,7 @@ fn submit(req: &Request, svc: &Arc<Service>) -> Outcome {
 /// [`BatchStreamer`] to the reactor. Invalid specs become per-index error
 /// frames rather than failing the whole batch — the stream's shape is the
 /// contract, not the specs' validity.
-fn batch(req: &Request, svc: &Arc<Service>) -> Outcome {
+fn post_batch<E: Executor>(req: &Request, svc: &Arc<Service<E>>) -> Outcome {
     let parsed = match parse_spec_body(&req.body, svc) {
         Ok(v) => v,
         Err(out) => return out,
@@ -323,8 +356,8 @@ fn batch(req: &Request, svc: &Arc<Service>) -> Outcome {
 
 /// Drives one batch: submits specs as queue capacity frees, watches their
 /// states, and emits one terminal frame per job in completion order.
-struct BatchStreamer {
-    svc: Arc<Service>,
+struct BatchStreamer<E: Executor> {
+    svc: Arc<Service<E>>,
     total: usize,
     deadline_ms: Option<u64>,
     /// Specs not yet accepted by the queue (head blocked on capacity).
@@ -336,7 +369,7 @@ struct BatchStreamer {
     header_sent: bool,
 }
 
-impl Streamer for BatchStreamer {
+impl<E: Executor> Streamer for BatchStreamer<E> {
     fn poll(&mut self, out: &mut Vec<u8>) -> bool {
         if !self.header_sent {
             self.header_sent = true;
@@ -407,7 +440,7 @@ impl Streamer for BatchStreamer {
     }
 }
 
-fn job_get(rest: &str, svc: &Arc<Service>) -> Outcome {
+fn job_get<E: Executor>(rest: &str, svc: &Service<E>) -> Outcome {
     if let Some(id) = rest.strip_suffix("/result") {
         return match svc.state(id) {
             // The stored payload IS Report::to_json() — returned verbatim,
@@ -423,21 +456,4 @@ fn job_get(rest: &str, svc: &Arc<Service>) -> Outcome {
         Some(body) => full(200, JSON, body),
         None => full(404, JSON, err_body(&format!("unknown job `{rest}`"))),
     }
-}
-
-/// The HTTP-triggered shutdown: draining flips *before* the handler
-/// answers — a submission racing the shutdown response can only see 503,
-/// never a connection reset — and the drain-wait runs on a watcher thread
-/// (the reactor must keep running to deliver the response and any open
-/// batch streams).
-fn begin_shutdown_async(ctx: &Ctx) {
-    if ctx.svc.draining() {
-        return;
-    }
-    ctx.svc.begin_shutdown();
-    let ctx = ctx.clone();
-    std::thread::spawn(move || {
-        ctx.svc.wait_drained();
-        ctx.stopped.store(true, Ordering::SeqCst);
-    });
 }

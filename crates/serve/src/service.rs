@@ -1,12 +1,14 @@
-//! The job service behind `smtxd`: validation, a bounded dedup queue, a
-//! worker pool on one shared [`Runner`], and an LRU result store.
+//! The job service behind both daemons: validation, a bounded dedup
+//! queue, a worker pool, and an LRU table of finished jobs, over an
+//! [`Executor`] that does the actual work.
 //!
-//! The whole point of a daemon (versus re-execing the figure binaries) is
-//! the shared runner: every job from every client hits the same result
-//! cache, reference cache and fast-forward checkpoint cache, keyed by
-//! `RunKey {kernel, seed, insts, config-digest}`. Two clients asking for
-//! overlapping work pay for the overlap once, and a repeated submission is
-//! answered from the job table without queueing at all.
+//! `smtxd` runs jobs with [`Local`]: one shared [`Runner`] (plus a checked
+//! twin), so every job from every client hits the same result cache,
+//! reference cache and fast-forward checkpoint cache, keyed by
+//! `RunKey {kernel, seed, insts, config-digest}`. `smtx-coord` runs them
+//! with `smtx_fleet::coord::Remote`, which forwards each job to a node;
+//! there the job table doubles as the fleet's result store. Either way a
+//! repeated submission is answered from the table without queueing.
 //!
 //! Results are byte-identical to the figure binaries' `--json` output by
 //! construction: a job runs `smtx_bench::figures::run_named` through a
@@ -15,7 +17,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use smtx_bench::{config_with_idle, figures, Args, Experiment, Runner, DEFAULT_INSTS};
@@ -24,9 +26,11 @@ use smtx_util::StableHasher;
 use smtx_workloads::Kernel;
 
 use crate::json::{quote, Json};
-use crate::metrics::Metrics;
+use crate::metrics::{render_runner, Metrics};
 
-/// Tuning knobs for one service instance.
+/// Tuning knobs for one service instance. The coordinator sets only the
+/// job-table fields (`workers` through `default_deadline_ms`); the rest
+/// configure [`Local`]'s shared runners.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads draining the job queue.
@@ -113,12 +117,30 @@ pub enum JobSpec {
 /// campaigns that big.
 pub const MAX_INSTS: u64 = 50_000_000;
 
+/// Every key a submission body may carry; anything else is a 400, so a
+/// misspelt key cannot silently fall back to a default.
+const SPEC_KEYS: [&str; 10] = [
+    "experiment",
+    "kernel",
+    "insts",
+    "seed",
+    "mechanism",
+    "idle",
+    "check",
+    "trace",
+    "intervals",
+    "deadline_ms",
+];
+
 impl JobSpec {
     /// Parses and validates a submission body.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let Json::Obj(_) = v else {
+        let Json::Obj(members) = v else {
             return Err("body must be a JSON object".to_string());
         };
+        if let Some(key) = members.keys().find(|k| !SPEC_KEYS.contains(&k.as_str())) {
+            return Err(format!("unknown key `{key}` (known: {})", SPEC_KEYS.join(", ")));
+        }
         let insts = match v.get("insts") {
             None => DEFAULT_INSTS,
             Some(n) => n.as_u64().ok_or("`insts` must be a non-negative integer")?,
@@ -200,6 +222,42 @@ impl JobSpec {
                 Ok(JobSpec::Run { kernel, seed, insts, mechanism, idle, check, trace, intervals })
             }
         }
+    }
+
+    /// The canonical submission body: required fields explicit, optional
+    /// ones only when set, so `from_json(&s.to_json())` gives back `s` —
+    /// and its [`JobSpec::id`]. The coordinator forwards exactly this,
+    /// plus the node-side `deadline_ms`.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let mut m = BTreeMap::new();
+        let mut put = |key: &str, value: Json| {
+            m.insert(key.to_string(), value);
+        };
+        match self {
+            JobSpec::Experiment { name, insts, seed, .. } => {
+                put("experiment", Json::Str(name.clone()));
+                put("insts", Json::num_u64(*insts));
+                put("seed", Json::num_u64(*seed));
+            }
+            JobSpec::Run { kernel, seed, insts, mechanism, idle, trace, .. } => {
+                put("kernel", Json::Str(kernel.name().to_string()));
+                put("insts", Json::num_u64(*insts));
+                put("seed", Json::num_u64(*seed));
+                put("mechanism", Json::Str(mechanism.label().to_string()));
+                put("idle", Json::num_u64(*idle as u64));
+                if let Some(t) = trace {
+                    put("trace", Json::Bool(*t));
+                }
+            }
+        }
+        if let Some(c) = self.check() {
+            put("check", Json::Bool(c));
+        }
+        if let Some(n) = self.intervals() {
+            put("intervals", Json::num_u64(n));
+        }
+        Json::Obj(m)
     }
 
     /// Stable job id: FNV-1a over the canonical field encoding, hex. Equal
@@ -339,12 +397,79 @@ impl JobState {
 pub enum Submit {
     /// Queued; poll the id.
     Accepted(String),
-    /// An identical job already exists (any state); poll the id.
+    /// An identical job already exists; poll the id.
     Deduped(String),
     /// Queue at capacity — retry later (429).
     QueueFull,
     /// Service is draining — no new work (503).
     Draining,
+}
+
+/// What an [`Executor`] made of one job.
+#[derive(Debug)]
+pub enum Exec {
+    /// Finished: the verbatim report JSON, the captured trace (kernel runs
+    /// that asked for one), and the fleet node that produced it.
+    Done {
+        /// `Report::to_json` bytes.
+        json: String,
+        /// Binary trace, when captured.
+        trace: Option<Vec<u8>>,
+        /// Producing node (index into the coordinator's node list).
+        node: Option<usize>,
+    },
+    /// Failed. A `transient` failure (deadline, shutdown, no alive node)
+    /// is recomputed when the spec is submitted again; any other failure
+    /// answers resubmissions until it is evicted.
+    Failed {
+        /// Error text.
+        error: String,
+        /// Whether the cause was time or fleet state, not the spec.
+        transient: bool,
+    },
+    /// Not run this time: queue it again, at the front when `front`.
+    /// `reason` is named if the job later runs out of deadline.
+    Retry {
+        /// Requeue at the front (the job already waited longest).
+        front: bool,
+        /// What went wrong on this attempt.
+        reason: String,
+    },
+}
+
+/// The part of a job service that runs jobs. The job table, the router
+/// and the batch stream are shared; `smtxd` plugs in [`Local`] and
+/// `smtx-coord` plugs in `smtx_fleet::coord::Remote`.
+pub trait Executor: Send + Sync + 'static {
+    /// The `/metrics` namespace and the worker-pool noun
+    /// (`("smtxd", "workers")`).
+    const NAMES: (&'static str, &'static str);
+
+    /// Runs one job; `deadline` is when its answer stops being wanted.
+    fn execute(&self, id: &str, spec: &JobSpec, deadline: Instant) -> Exec;
+
+    /// Appends executor-specific `/metrics` lines.
+    fn render_metrics(&self, out: &mut String);
+
+    /// A submission was answered by a finished result `node` produced.
+    fn hit(&self, _id: &str, _node: Option<usize>) {}
+
+    /// A finished result was evicted from the job table.
+    fn evicted(&self) {}
+
+    /// `Some(reason)` answers every trace download with 404.
+    fn trace_refusal(&self) -> Option<&'static str> {
+        None
+    }
+
+    /// The answer to `POST /v1/shutdown` with `body`, and whether
+    /// [`Executor::drained`] should pass the shutdown on.
+    fn shutdown_reply(&self, _body: &[u8]) -> (String, bool) {
+        ("{\"draining\": true}\n".to_string(), false)
+    }
+
+    /// The service finished draining after `POST /v1/shutdown`.
+    fn drained(&self, _pass_on: bool) {}
 }
 
 struct JobRecord {
@@ -357,6 +482,12 @@ struct JobRecord {
     /// The captured binary trace, for jobs that asked for one (evicted
     /// with the record).
     trace: Option<Vec<u8>>,
+    /// The fleet node that produced a `Done` result.
+    node: Option<usize>,
+    /// A `Failed` record that resubmission replaces (see [`Exec::Failed`]).
+    transient: bool,
+    /// Why the last attempt was retried.
+    retried: Option<String>,
 }
 
 struct Inner {
@@ -371,18 +502,13 @@ struct Inner {
     busy: usize,
 }
 
-/// The shared service state: one runner, one queue, one job table.
-pub struct Service {
+/// The shared service state: one queue and one job table over an
+/// executor.
+pub struct Service<E: Executor> {
     /// Tuning knobs the service was built with.
     pub config: ServiceConfig,
-    /// The shared memoizing executor — the reason the daemon exists.
-    pub runner: Arc<Runner>,
-    /// A second shared runner with the pipeline sanitizer on, serving jobs
-    /// that request `check`. Separate from `runner` so checked and
-    /// unchecked jobs each hit a cache built the way they asked for —
-    /// results are byte-identical either way, but a checked job must
-    /// actually *run* checked, not be served from an unchecked memo.
-    pub checked_runner: Arc<Runner>,
+    /// What runs the jobs.
+    pub executor: E,
     /// Observability counters.
     pub metrics: Metrics,
     inner: Mutex<Inner>,
@@ -392,27 +518,14 @@ pub struct Service {
     done_cv: Condvar,
 }
 
-impl Service {
-    /// Builds the service and its shared runner (no threads started;
-    /// [`Service::worker_loop`] is the worker body).
+impl<E: Executor> Service<E> {
+    /// Builds the service (no threads started; [`Service::worker_loop`]
+    /// is the worker body).
     #[must_use]
-    pub fn new(config: ServiceConfig) -> Arc<Service> {
-        let build = |check: bool| {
-            Arc::new(
-                Runner::new(config.runner_jobs)
-                    .with_skip(config.skip)
-                    .with_checkpoint_cache(config.checkpoint)
-                    .with_idle_skip(config.idle_skip)
-                    .with_intervals(config.intervals)
-                    .with_check(check),
-            )
-        };
-        let runner = build(false);
-        let checked_runner = build(true);
+    pub fn new(config: ServiceConfig, executor: E) -> Arc<Service<E>> {
         Arc::new(Service {
             config,
-            runner,
-            checked_runner,
+            executor,
             metrics: Metrics::default(),
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
@@ -426,34 +539,58 @@ impl Service {
         })
     }
 
-    /// Submits a job. Identical specs dedup onto the existing record —
-    /// whatever its state — so a re-submitted finished job is answered
-    /// instantly and a re-submitted queued job is not queued twice.
+    /// A poisoned lock only means a worker panicked mid-update; the maps
+    /// stay structurally consistent, so recover rather than cascade.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Submits a job. Identical specs dedup onto the existing record, so a
+    /// re-submitted finished job is answered instantly and a re-submitted
+    /// queued job is not queued twice (it keeps the later deadline) —
+    /// except a transient failure, which is replaced by a fresh queued job.
     pub fn submit(&self, spec: JobSpec, deadline_ms: Option<u64>) -> Submit {
         let id = spec.id();
-        let mut inner = self.inner.lock().expect("service state");
+        let mut inner = self.lock();
         if inner.draining {
             Metrics::inc(&self.metrics.jobs_rejected_shutdown);
             return Submit::Draining;
         }
-        if inner.jobs.contains_key(&id) {
-            Metrics::inc(&self.metrics.jobs_deduped);
-            return Submit::Deduped(id);
-        }
+        let now = Instant::now();
+        let ttl = Duration::from_millis(deadline_ms.unwrap_or(self.config.default_deadline_ms));
+        // An absurd deadline saturates rather than overflowing.
+        let deadline = now.checked_add(ttl).unwrap_or(now + Duration::from_secs(1 << 32));
+        let replace = match inner.jobs.get_mut(&id) {
+            Some(r) if !r.transient => {
+                if let JobState::Done(_) = r.state {
+                    self.executor.hit(&id, r.node);
+                }
+                // A waiting job is wanted until the latest of its askers'
+                // deadlines.
+                r.deadline = r.deadline.max(deadline);
+                Metrics::inc(&self.metrics.jobs_deduped);
+                return Submit::Deduped(id);
+            }
+            found => found.is_some(),
+        };
         if inner.queue.len() >= self.config.queue_cap {
             Metrics::inc(&self.metrics.jobs_rejected_full);
             return Submit::QueueFull;
         }
-        let ms = deadline_ms.unwrap_or(self.config.default_deadline_ms);
-        let now = Instant::now();
+        if replace {
+            inner.finished.retain(|f| *f != id);
+        }
         inner.jobs.insert(
             id.clone(),
             JobRecord {
                 spec,
                 state: JobState::Queued,
-                deadline: now + Duration::from_millis(ms),
+                deadline,
                 submitted: now,
                 trace: None,
+                node: None,
+                transient: false,
+                retried: None,
             },
         );
         inner.queue.push_back(id.clone());
@@ -466,19 +603,19 @@ impl Service {
     /// The job's current state, if it is known.
     #[must_use]
     pub fn state(&self, id: &str) -> Option<JobState> {
-        self.inner.lock().expect("service state").jobs.get(id).map(|r| r.state.clone())
+        self.lock().jobs.get(id).map(|r| r.state.clone())
     }
 
     /// The captured binary trace of a job, if it finished with one.
     #[must_use]
     pub fn trace(&self, id: &str) -> Option<Vec<u8>> {
-        self.inner.lock().expect("service state").jobs.get(id).and_then(|r| r.trace.clone())
+        self.lock().jobs.get(id).and_then(|r| r.trace.clone())
     }
 
     /// Status metadata JSON for `GET /v1/jobs/<id>`.
     #[must_use]
     pub fn status_json(&self, id: &str) -> Option<String> {
-        let inner = self.inner.lock().expect("service state");
+        let inner = self.lock();
         let r = inner.jobs.get(id)?;
         let mut s = format!(
             "{{\n  \"id\": {},\n  \"state\": {},\n  \"spec\": {}",
@@ -498,7 +635,7 @@ impl Service {
     #[must_use]
     pub fn wait_job(&self, id: &str, timeout: Duration) -> Option<JobState> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("service state");
+        let mut inner = self.lock();
         loop {
             match inner.jobs.get(id).map(|r| r.state.clone()) {
                 None => return None,
@@ -511,135 +648,204 @@ impl Service {
                     let (g, _) = self
                         .done_cv
                         .wait_timeout(inner, left)
-                        .expect("service state");
+                        .unwrap_or_else(PoisonError::into_inner);
                     inner = g;
                 }
             }
         }
     }
 
-    /// Current queue depth and busy/total worker gauges for `/metrics`.
-    #[must_use]
-    pub fn gauges(&self) -> (usize, usize, usize) {
-        let inner = self.inner.lock().expect("service state");
-        (inner.queue.len(), inner.busy, self.config.workers)
-    }
-
-    /// Plaintext metrics exposition.
+    /// Plaintext metrics exposition: the shared counters, gauges and
+    /// histograms, then the executor's own lines.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        let (depth, busy, total) = self.gauges();
-        self.metrics.render(depth, busy, total, &self.runner.stats())
+        let (depth, busy) = {
+            let inner = self.lock();
+            (inner.queue.len(), inner.busy)
+        };
+        let mut out = self.metrics.render(E::NAMES, depth, busy, self.config.workers);
+        self.executor.render_metrics(&mut out);
+        out
     }
 
     /// Starts draining: queued jobs still run, new submissions get
     /// [`Submit::Draining`].
     pub fn begin_shutdown(&self) {
-        self.inner.lock().expect("service state").draining = true;
+        self.lock().draining = true;
         self.work_cv.notify_all();
     }
 
     /// Whether the service is draining.
     #[must_use]
     pub fn draining(&self) -> bool {
-        self.inner.lock().expect("service state").draining
+        self.lock().draining
     }
 
     /// Blocks until the queue is empty and no worker is mid-job.
     pub fn wait_drained(&self) {
-        let mut inner = self.inner.lock().expect("service state");
+        let mut inner = self.lock();
         while !inner.queue.is_empty() || inner.busy > 0 {
-            inner = self.done_cv.wait(inner).expect("service state");
+            inner = self.done_cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// One worker's whole life: pull, execute, publish; exit once the
     /// service is draining and the queue is dry.
     pub fn worker_loop(&self) {
-        loop {
-            let (id, spec) = {
-                let mut inner = self.inner.lock().expect("service state");
-                loop {
-                    if let Some(id) = inner.queue.pop_front() {
-                        let r = inner.jobs.get_mut(&id).expect("queued job has a record");
-                        if Instant::now() > r.deadline {
-                            r.state =
-                                JobState::Failed("deadline exceeded before execution".to_string());
-                            Metrics::inc(&self.metrics.deadline_expired);
-                            Metrics::inc(&self.metrics.jobs_failed);
-                            let spec_id = id.clone();
-                            Self::retire(&mut inner, spec_id, self.config.results_cap);
-                            self.done_cv.notify_all();
-                            continue;
-                        }
-                        self.metrics.observe_ms(
-                            &self.metrics.queue_wait_ms,
-                            r.submitted.elapsed(),
-                        );
-                        r.state = JobState::Running;
-                        let spec = r.spec.clone();
-                        inner.busy += 1;
-                        break (id, spec);
-                    }
-                    if inner.draining {
-                        return;
-                    }
-                    inner = self.work_cv.wait(inner).expect("service state");
-                }
-            };
-
+        while let Some((id, spec, deadline)) = self.next_job() {
             // The simulator asserts on impossible configurations; a panic
             // must fail one job, not the daemon.
             let t0 = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(&spec)));
+            let run = || self.executor.execute(&id, &spec, deadline);
+            let exec = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| {
+                let msg = p
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| p.downcast_ref::<&str>().copied())
+                    .unwrap_or("job panicked");
+                Exec::Failed { error: format!("execution panicked: {msg}"), transient: false }
+            });
             self.metrics.observe_ms(&self.metrics.exec_ms, t0.elapsed());
-            let (state, trace) = match outcome {
-                Ok((json, trace)) => {
-                    Metrics::inc(&self.metrics.jobs_completed);
-                    (JobState::Done(json), trace)
-                }
-                Err(p) => {
-                    Metrics::inc(&self.metrics.jobs_failed);
-                    let msg = p
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| p.downcast_ref::<&str>().copied())
-                        .unwrap_or("job panicked");
-                    (JobState::Failed(format!("execution panicked: {msg}")), None)
-                }
-            };
-
-            let mut inner = self.inner.lock().expect("service state");
-            if let Some(r) = inner.jobs.get_mut(&id) {
-                r.state = state;
-                r.trace = trace;
-            }
-            inner.busy -= 1;
-            Self::retire(&mut inner, id, self.config.results_cap);
-            drop(inner);
-            self.done_cv.notify_all();
+            self.settle(id, exec);
         }
+    }
+
+    /// Pops the next live job and marks it running; expired jobs fail on
+    /// the way. `None` once draining with an empty queue.
+    fn next_job(&self) -> Option<(String, JobSpec, Instant)> {
+        let mut inner = self.lock();
+        loop {
+            while let Some(id) = inner.queue.pop_front() {
+                let Some(r) = inner.jobs.get_mut(&id) else { continue };
+                if Instant::now() > r.deadline {
+                    let error =
+                        with_reason("deadline exceeded before execution", r.retried.as_deref());
+                    Metrics::inc(&self.metrics.deadline_expired);
+                    self.fail(&mut inner, id, error, true);
+                    self.done_cv.notify_all();
+                    continue;
+                }
+                self.metrics.observe_ms(&self.metrics.queue_wait_ms, r.submitted.elapsed());
+                r.state = JobState::Running;
+                let job = (id, r.spec.clone(), r.deadline);
+                inner.busy += 1;
+                return Some(job);
+            }
+            if inner.draining {
+                return None;
+            }
+            inner = self.work_cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Publishes one execution's outcome, or requeues a retried job while
+    /// its deadline lasts.
+    fn settle(&self, id: String, exec: Exec) {
+        let mut inner = self.lock();
+        inner.busy -= 1;
+        match exec {
+            Exec::Done { json, trace, node } => {
+                Metrics::inc(&self.metrics.jobs_completed);
+                if let Some(r) = inner.jobs.get_mut(&id) {
+                    r.state = JobState::Done(json);
+                    r.trace = trace;
+                    r.node = node;
+                }
+                self.retire(&mut inner, id);
+            }
+            Exec::Failed { error, transient } => self.fail(&mut inner, id, error, transient),
+            Exec::Retry { front, reason } => match inner.jobs.get_mut(&id) {
+                Some(r) if Instant::now() <= r.deadline => {
+                    r.state = JobState::Queued;
+                    r.retried = Some(reason);
+                    if front {
+                        inner.queue.push_front(id);
+                    } else {
+                        inner.queue.push_back(id);
+                    }
+                    drop(inner);
+                    self.work_cv.notify_one();
+                    return;
+                }
+                _ => {
+                    let error = with_reason("deadline exceeded during redispatch", Some(&reason));
+                    self.fail(&mut inner, id, error, true);
+                }
+            },
+        }
+        drop(inner);
+        self.done_cv.notify_all();
+    }
+
+    fn fail(&self, inner: &mut Inner, id: String, error: String, transient: bool) {
+        Metrics::inc(&self.metrics.jobs_failed);
+        if let Some(r) = inner.jobs.get_mut(&id) {
+            r.state = JobState::Failed(error);
+            r.transient = transient;
+        }
+        self.retire(inner, id);
     }
 
     /// Records `id` as finished and evicts the oldest finished jobs beyond
-    /// `cap` (queued/running records are never evicted).
-    fn retire(inner: &mut Inner, id: String, cap: usize) {
+    /// `results_cap` (queued/running records are never evicted).
+    fn retire(&self, inner: &mut Inner, id: String) {
         inner.finished.push_back(id);
-        while inner.finished.len() > cap {
-            if let Some(old) = inner.finished.pop_front() {
-                inner.jobs.remove(&old);
+        while inner.finished.len() > self.config.results_cap {
+            let Some(old) = inner.finished.pop_front() else { break };
+            if let Some(JobRecord { state: JobState::Done(_), .. }) = inner.jobs.remove(&old) {
+                self.executor.evicted();
             }
         }
     }
+}
 
-    /// Executes one job on the shared runner and serializes its report
+/// `what`, naming the last retry's reason when there was one.
+fn with_reason(what: &str, retried: Option<&str>) -> String {
+    match retried {
+        Some(why) => format!("{what} ({why})"),
+        None => what.to_string(),
+    }
+}
+
+/// The in-process executor behind `smtxd`: jobs run on one shared
+/// memoizing [`Runner`] — the reason the daemon exists.
+pub struct Local {
+    /// The shared runner for unchecked jobs.
+    pub runner: Arc<Runner>,
+    /// A second shared runner with the pipeline sanitizer on, serving jobs
+    /// that request `check`. Separate from `runner` so checked and
+    /// unchecked jobs each hit a cache built the way they asked for —
+    /// results are byte-identical either way, but a checked job must
+    /// actually *run* checked, not be served from an unchecked memo.
+    pub checked_runner: Arc<Runner>,
+    /// Whether jobs that do not say run checked.
+    check: bool,
+}
+
+impl Local {
+    /// Builds both shared runners from the service's knobs.
+    pub(crate) fn new(config: &ServiceConfig) -> Local {
+        let build = |check: bool| {
+            Arc::new(
+                Runner::new(config.runner_jobs)
+                    .with_skip(config.skip)
+                    .with_checkpoint_cache(config.checkpoint)
+                    .with_idle_skip(config.idle_skip)
+                    .with_intervals(config.intervals)
+                    .with_check(check),
+            )
+        };
+        Local { runner: build(false), checked_runner: build(true), check: config.check }
+    }
+
+    /// Executes one job on a shared runner and serializes its report
     /// (plus the captured binary trace, for kernel runs that asked for
     /// one). Experiments run the figure bodies the binaries run — quiet, on
     /// this service's runner — so the JSON matches `--json` output field
     /// for field (rows byte-identical; wall clock and cache counters
     /// reflect the daemon's shared state).
-    fn execute(&self, spec: &JobSpec) -> (String, Option<Vec<u8>>) {
-        let checked = spec.check().unwrap_or(self.config.check);
+    fn run(&self, spec: &JobSpec) -> (String, Option<Vec<u8>>) {
+        let checked = spec.check().unwrap_or(self.check);
         let runner = if checked { &self.checked_runner } else { &self.runner };
         match spec {
             JobSpec::Experiment { name, insts, seed, .. } => {
@@ -681,13 +887,31 @@ impl Service {
     }
 }
 
+impl Executor for Local {
+    const NAMES: (&'static str, &'static str) = ("smtxd", "workers");
+
+    fn execute(&self, _id: &str, spec: &JobSpec, _deadline: Instant) -> Exec {
+        let (json, trace) = self.run(spec);
+        Exec::Done { json, trace, node: None }
+    }
+
+    fn render_metrics(&self, out: &mut String) {
+        render_runner(out, "smtxd_runner", &self.runner.stats());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn parse(body: &str) -> Result<JobSpec, String> {
         JobSpec::from_json(&Json::parse(body).expect("valid JSON"))
+    }
+
+    fn local(config: ServiceConfig) -> Arc<Service<Local>> {
+        let executor = Local::new(&config);
+        Service::new(config, executor)
     }
 
     #[test]
@@ -720,6 +944,7 @@ mod tests {
         let s = parse(r#"{"kernel": "compress", "intervals": 8}"#).unwrap();
         assert_eq!(s.intervals(), Some(8));
         assert!(s.describe().ends_with("intervals=8"));
+        assert!(parse(r#"{"kernel": "gcc", "deadline_ms": 5}"#).is_ok());
         for bad in [
             r#"{}"#,
             r#"{"experiment": "fig9"}"#,
@@ -739,6 +964,35 @@ mod tests {
             r#"[1]"#,
         ] {
             assert!(parse(bad).is_err(), "`{bad}` must be rejected");
+        }
+        let err = parse(r#"{"kernel": "gcc", "mechansim": "traditional"}"#).unwrap_err();
+        assert!(err.contains("`mechansim`"), "unknown keys are named: {err}");
+    }
+
+    #[test]
+    fn to_json_round_trips_every_variant() {
+        let mut specs = Vec::new();
+        for check in [None, Some(true), Some(false)] {
+            specs.push(JobSpec::Experiment { name: "table2".into(), insts: 3_000, seed: 7, check });
+            for trace in [None, Some(true), Some(false)] {
+                for intervals in [None, Some(1), Some(8)] {
+                    specs.push(JobSpec::Run {
+                        kernel: Kernel::Gcc,
+                        seed: u64::MAX,
+                        insts: 1_000,
+                        mechanism: ExnMechanism::QuickStart,
+                        idle: 3,
+                        check,
+                        trace,
+                        intervals,
+                    });
+                }
+            }
+        }
+        for s in specs {
+            let back = JobSpec::from_json(&Json::parse(&s.to_json().to_text()).unwrap());
+            assert_eq!(back.as_ref(), Ok(&s), "{s:?}");
+            assert_eq!(back.map(|b| b.id()), Ok(s.id()), "node and coordinator ids agree");
         }
     }
 
@@ -777,12 +1031,51 @@ mod tests {
         assert_ne!(plain.id(), cut.id(), "an explicit interval count is a distinct job");
     }
 
+    /// An executor answering from a script, counting what the table tells it.
+    struct Scripted {
+        answer: fn(&JobSpec) -> Exec,
+        hits: AtomicU64,
+        evictions: AtomicU64,
+    }
+
+    impl Executor for Scripted {
+        const NAMES: (&'static str, &'static str) = ("scripted", "workers");
+
+        fn execute(&self, _id: &str, spec: &JobSpec, _deadline: Instant) -> Exec {
+            (self.answer)(spec)
+        }
+
+        fn render_metrics(&self, _out: &mut String) {}
+
+        fn hit(&self, _id: &str, node: Option<usize>) {
+            assert_eq!(node, Some(3), "hits carry the producing node");
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn evicted(&self) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn scripted(config: ServiceConfig, answer: fn(&JobSpec) -> Exec) -> Arc<Service<Scripted>> {
+        let executor = Scripted { answer, hits: AtomicU64::new(0), evictions: AtomicU64::new(0) };
+        Service::new(config, executor)
+    }
+
+    /// Runs every queued job on the calling thread, then stops.
+    fn drain<E: Executor>(svc: &Service<E>) {
+        svc.begin_shutdown();
+        svc.worker_loop();
+    }
+
     #[test]
     fn submit_dedups_and_bounds_the_queue() {
-        let svc = Service::new(ServiceConfig { queue_cap: 1, ..ServiceConfig::default() });
+        let svc = scripted(ServiceConfig { queue_cap: 1, ..ServiceConfig::default() }, |_| {
+            unreachable!("nothing runs")
+        });
         let spec = parse(r#"{"experiment": "fig5", "insts": 2000}"#).unwrap();
-        let Submit::Accepted(id) = svc.submit(spec.clone(), None) else {
-            panic!("first submit must queue");
+        let Submit::Accepted(id) = svc.submit(spec.clone(), Some(u64::MAX)) else {
+            panic!("first submit must queue, an absurd deadline saturating");
         };
         assert_eq!(svc.submit(spec, None), Submit::Deduped(id.clone()));
         let other = parse(r#"{"experiment": "fig6", "insts": 2000}"#).unwrap();
@@ -793,12 +1086,71 @@ mod tests {
     }
 
     #[test]
-    fn worker_executes_and_expired_jobs_fail() {
-        let svc = Service::new(ServiceConfig {
-            workers: 1,
-            runner_jobs: 2,
-            ..ServiceConfig::default()
+    fn transient_failures_are_replaced_and_the_rest_dedup() {
+        let svc = scripted(ServiceConfig::default(), |spec| match spec.describe() {
+            d if d.contains("gcc") => panic!("impossible configuration"),
+            _ => Exec::Done { json: "{}".into(), trace: None, node: Some(3) },
         });
+        let ok = parse(r#"{"kernel": "compress", "insts": 1000}"#).unwrap();
+        let Submit::Accepted(id) = svc.submit(ok.clone(), Some(0)) else { panic!() };
+        std::thread::sleep(Duration::from_millis(2));
+        let bad = parse(r#"{"kernel": "gcc", "insts": 1000}"#).unwrap();
+        let Submit::Accepted(bad_id) = svc.submit(bad.clone(), None) else { panic!() };
+        drain(&svc);
+        let failed = svc.state(&id);
+        assert!(matches!(failed, Some(JobState::Failed(e)) if e.contains("deadline")));
+        assert!(
+            matches!(svc.state(&bad_id), Some(JobState::Failed(e)) if e.contains("impossible"))
+        );
+
+        // The panic is the spec's own: resubmitting answers the failure.
+        svc.lock().draining = false;
+        assert_eq!(svc.submit(bad, None), Submit::Deduped(bad_id));
+        // The deadline was the submission's: the spec runs afresh.
+        assert_eq!(svc.submit(ok.clone(), None), Submit::Accepted(id.clone()));
+        drain(&svc);
+        assert_eq!(svc.state(&id), Some(JobState::Done("{}".into())));
+        svc.lock().draining = false;
+        assert_eq!(svc.submit(ok, None), Submit::Deduped(id));
+        assert_eq!(svc.executor.hits.load(Ordering::Relaxed), 1, "a Done record is a store hit");
+        assert_eq!(svc.metrics.deadline_expired.load(Ordering::Relaxed), 1);
+        assert_eq!(svc.metrics.jobs_failed.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn retries_requeue_until_the_deadline_names_the_last_reason() {
+        let svc = scripted(ServiceConfig::default(), |_| Exec::Retry {
+            front: true,
+            reason: "last node error: submit: connection refused".into(),
+        });
+        let spec = parse(r#"{"kernel": "compress", "insts": 1000}"#).unwrap();
+        let Submit::Accepted(id) = svc.submit(spec, Some(30)) else { panic!() };
+        drain(&svc);
+        let Some(JobState::Failed(e)) = svc.state(&id) else { panic!("must fail") };
+        assert!(e.starts_with("deadline exceeded"), "{e}");
+        assert!(e.ends_with("(last node error: submit: connection refused)"), "{e}");
+    }
+
+    #[test]
+    fn lru_table_evicts_oldest_finished() {
+        let svc = scripted(ServiceConfig { results_cap: 1, ..ServiceConfig::default() }, |_| {
+            Exec::Done { json: "{}".into(), trace: None, node: Some(3) }
+        });
+        let a = parse(r#"{"kernel": "compress", "insts": 1000}"#).unwrap();
+        let b = parse(r#"{"kernel": "compress", "insts": 1001}"#).unwrap();
+        let (Submit::Accepted(a), Submit::Accepted(b)) = (svc.submit(a, None), svc.submit(b, None))
+        else {
+            panic!()
+        };
+        drain(&svc);
+        assert_eq!(svc.state(&a), None, "oldest evicted");
+        assert!(svc.state(&b).is_some());
+        assert_eq!(svc.executor.evictions.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn worker_executes_and_expired_jobs_fail() {
+        let svc = local(ServiceConfig { workers: 1, runner_jobs: 2, ..ServiceConfig::default() });
         let spec = parse(r#"{"kernel": "compress", "insts": 3000, "mechanism": "perfect"}"#)
             .unwrap();
         let Submit::Accepted(ok_id) = svc.submit(spec, None) else { panic!() };
@@ -825,12 +1177,12 @@ mod tests {
 
     #[test]
     fn checked_job_routes_to_the_checked_runner_with_identical_rows() {
-        let svc = Service::new(ServiceConfig { runner_jobs: 2, ..ServiceConfig::default() });
-        let (plain, _) = svc.execute(
+        let svc = Local::new(&ServiceConfig { runner_jobs: 2, ..ServiceConfig::default() });
+        let (plain, _) = svc.run(
             &parse(r#"{"kernel": "compress", "insts": 3000, "mechanism": "multithreaded"}"#)
                 .unwrap(),
         );
-        let (checked, _) = svc.execute(
+        let (checked, _) = svc.run(
             &parse(
                 r#"{"kernel": "compress", "insts": 3000, "mechanism": "multithreaded", "check": true}"#,
             )
@@ -847,16 +1199,16 @@ mod tests {
 
     #[test]
     fn interval_job_routes_through_and_keeps_rows_identical() {
-        let svc = Service::new(ServiceConfig { runner_jobs: 2, ..ServiceConfig::default() });
+        let svc = Local::new(&ServiceConfig { runner_jobs: 2, ..ServiceConfig::default() });
         // 8k instructions sit below `EPOCH_MIN_WINDOW`, so both requests
         // run monolithically; what this checks is the per-job `intervals`
         // plumbing — the count is echoed in the report without perturbing
         // rows (real splits are covered by bench's interval_exactness).
-        let (plain, _) = svc.execute(
+        let (plain, _) = svc.run(
             &parse(r#"{"kernel": "compress", "insts": 8000, "mechanism": "multithreaded"}"#)
                 .unwrap(),
         );
-        let (cut, _) = svc.execute(
+        let (cut, _) = svc.run(
             &parse(
                 r#"{"kernel": "compress", "insts": 8000, "mechanism": "multithreaded", "intervals": 4}"#,
             )
@@ -871,13 +1223,13 @@ mod tests {
 
     #[test]
     fn traced_run_yields_a_decodable_trace_and_identical_report() {
-        let svc = Service::new(ServiceConfig { runner_jobs: 2, ..ServiceConfig::default() });
-        let (plain, none) = svc.execute(
+        let svc = Local::new(&ServiceConfig { runner_jobs: 2, ..ServiceConfig::default() });
+        let (plain, none) = svc.run(
             &parse(r#"{"kernel": "compress", "insts": 3000, "mechanism": "multithreaded"}"#)
                 .unwrap(),
         );
         assert!(none.is_none(), "untraced jobs carry no trace");
-        let (traced, bytes) = svc.execute(
+        let (traced, bytes) = svc.run(
             &parse(
                 r#"{"kernel": "compress", "insts": 3000, "mechanism": "multithreaded", "trace": true}"#,
             )
@@ -892,31 +1244,5 @@ mod tests {
         let p = Json::parse(&plain).expect("plain report");
         let t = Json::parse(&traced).expect("traced report");
         assert_eq!(p.get("rows"), t.get("rows"), "tracing must not perturb rows");
-    }
-
-    #[test]
-    fn lru_store_evicts_oldest_finished() {
-        let svc = Service::new(ServiceConfig { results_cap: 1, ..ServiceConfig::default() });
-        let mut inner = svc.inner.lock().unwrap();
-        for id in ["a", "b"] {
-            inner.jobs.insert(
-                id.to_string(),
-                JobRecord {
-                    spec: JobSpec::Experiment {
-                        name: "fig5".into(),
-                        insts: 1,
-                        seed: 1,
-                        check: None,
-                    },
-                    state: JobState::Done("{}".into()),
-                    deadline: Instant::now(),
-                    submitted: Instant::now(),
-                    trace: None,
-                },
-            );
-            Service::retire(&mut inner, id.to_string(), 1);
-        }
-        assert!(!inner.jobs.contains_key("a"), "oldest evicted");
-        assert!(inner.jobs.contains_key("b"));
     }
 }

@@ -117,7 +117,7 @@ fn concurrent_clients_get_byte_identical_rows_and_share_caches() {
     // Cache sharing across jobs: fig5 re-simulates the kernels table2's
     // budget probes touched, so the shared runner must have served repeat
     // keys from cache, and — with skip > 0 — reused checkpoints.
-    let stats = handle.service().runner.stats();
+    let stats = handle.service().executor.runner.stats();
     assert!(stats.cache_hits > 0, "shared result cache must hit: {stats:?}");
     assert!(stats.checkpoint_hits > 0, "shared checkpoint cache must hit: {stats:?}");
     let (_, metrics) = get(&addr, "/metrics");
