@@ -13,7 +13,7 @@ use smtx_core::{ExnMechanism, LimitKnobs, MachineConfig};
 use smtx_workloads::{Kernel, MIXES};
 
 use crate::runner::perfect_of;
-use crate::{config_with_idle, header, limit_config, penalty_table, Experiment, Job, Runner};
+use crate::{config_with_idle, header, limit_config, penalty_table, Args, Experiment, Job, Runner};
 
 /// Names of every experiment runnable by name, in the paper's order.
 /// `fig5_asm` is ours: the Fig. 5 mechanism comparison over real programs
@@ -28,7 +28,10 @@ pub fn run_named(name: &str, exp: &mut Experiment) -> bool {
         "fig2" => fig2(exp),
         "fig3" => fig3(exp),
         "fig5" => fig5(exp),
-        "fig5_asm" => fig5_asm(exp),
+        // A served job with no resolvable corpus reports an empty table.
+        "fig5_asm" => {
+            let _ = fig5_asm(exp);
+        }
         "fig6" => fig6(exp),
         "fig7" => fig7(exp),
         "table2" => table2(exp),
@@ -141,41 +144,32 @@ pub fn fig5(exp: &mut Experiment) {
 /// files first, then whatever `asm:*` kernels are already registered (the
 /// service loads them at startup via `--asm DIR`), then the repo-root
 /// `asm/` directory as the binary-from-checkout default.
-fn asm_corpus(exp: &mut Experiment) -> Vec<Kernel> {
-    match crate::load_programs(&exp.args) {
-        Ok(loaded) if !loaded.is_empty() => return smtx_workloads::asm_kernels(),
-        Ok(_) => {}
-        Err(e) => {
-            exp.println(&format!("error: {e}"));
-            return Vec::new();
-        }
+fn asm_corpus(args: &Args) -> Result<Vec<Kernel>, String> {
+    if !crate::load_programs(args)?.is_empty() {
+        return Ok(smtx_workloads::asm_kernels());
     }
     let registered = smtx_workloads::asm_kernels();
     if !registered.is_empty() {
-        return registered;
+        return Ok(registered);
     }
-    match smtx_workloads::load_asm_dir(std::path::Path::new("asm")) {
-        Ok(kernels) => kernels,
-        Err(e) => {
-            exp.println(&format!("error: {e}"));
-            Vec::new()
-        }
-    }
+    smtx_workloads::load_asm_dir(std::path::Path::new("asm"))
+        .map_err(|e| format!("{e} (pass --program FILE.s or run from the repo root)"))
 }
 
 /// Figure 5 over assembled programs: the same mechanism comparison as
 /// [`fig5`], but each row is a real program from `asm/*.s` run to `HALT`
 /// under its exact halting budget (the `--insts` budget is ignored).
-pub fn fig5_asm(exp: &mut Experiment) {
+///
+/// # Errors
+///
+/// Returns the first assembly diagnostic (`path:line:col: msg`), or the
+/// reason no corpus was found, before printing or recording anything.
+pub fn fig5_asm(exp: &mut Experiment) -> Result<(), String> {
+    let kernels = asm_corpus(&exp.args)?;
     exp.banner(&[
         "Figure 5 (asm) — penalty cycles per miss, assembled real programs",
         "rows are asm/*.s programs run to HALT under exact halting budgets",
     ]);
-    let kernels = asm_corpus(exp);
-    if kernels.is_empty() {
-        exp.println("no assembled programs: pass --program FILE.s or run from the repo root");
-        return;
-    }
     let configs = [
         ("traditional", config_with_idle(ExnMechanism::Traditional, 1)),
         ("multi(1)", config_with_idle(ExnMechanism::Multithreaded, 1)),
@@ -183,6 +177,7 @@ pub fn fig5_asm(exp: &mut Experiment) {
         ("hardware", config_with_idle(ExnMechanism::Hardware, 1)),
     ];
     crate::penalty_table_for(exp, &kernels, &configs);
+    Ok(())
 }
 
 /// Figure 6: performance of the quick-starting multithreaded handler.

@@ -266,8 +266,9 @@ pub fn make_mix_checkpoint(mix: [Kernel; 3], seed: u64, skip: u64) -> Checkpoint
 }
 
 /// Restores `ck` into a fresh machine under `config` and measures `insts`
-/// user instructions on thread 0 (the uncached single-kernel path, used by
-/// the naive baseline binary; [`Runner`] has a memoized equivalent).
+/// user instructions on thread 0 (the uncached single-kernel path, the
+/// reference the runner's rows are tested against; [`Runner`] has a
+/// memoized equivalent).
 ///
 /// # Panics
 ///
@@ -374,7 +375,7 @@ pub fn probe_insts(base_insts: u64) -> u64 {
 /// Scales `base_insts` so a measurement averages over at least
 /// [`MIN_MISSES`] misses, given `misses` observed over `probe`
 /// instructions. Shared by every budget path — the memoized runner, the
-/// free [`insts_for`], and the naive baseline's fast-forward probe — so
+/// free [`insts_for`], and the uncached fast-forward reference — so
 /// they always agree on the per-kernel budget.
 #[must_use]
 pub fn scale_budget(misses: u64, probe: u64, base_insts: u64) -> u64 {

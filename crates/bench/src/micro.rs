@@ -4,8 +4,8 @@
 //! this module directly: each benchmark warms up briefly, then runs until a
 //! time or iteration floor is met and reports mean/min per-iteration times.
 //! The output is one aligned line per benchmark, suitable for eyeballing
-//! and for diffing across commits; the machine-readable perf trajectory
-//! lives in `BENCH_fig5.json` (see `scripts/bench_summary.sh`).
+//! and for diffing across commits. End-to-end timings of the figures and
+//! the fleet come from the benchmark in `perfbench/` instead.
 
 use std::time::{Duration, Instant};
 

@@ -64,7 +64,7 @@ impl Report {
     ///
     /// This is the *one* result serializer: experiment binaries write it via
     /// `--json`, and `smtxd` returns exactly the same shape as a job result,
-    /// so `scripts/bench_summary.sh` and the service read identical fields.
+    /// so a script reads identical fields from either.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");

@@ -1,7 +1,8 @@
 //! Every experiment binary must reject unknown flags loudly — exit code 2
 //! plus a usage string — never silently ignore them. A silently ignored
 //! typo (`--inst 500000`) would run the full default-budget experiment and
-//! report it as the requested one.
+//! report it as the requested one. The same goes for `fig5_asm`'s
+//! programs: one that does not assemble must not yield an empty table.
 
 use std::process::Command;
 
@@ -10,7 +11,7 @@ const EXPERIMENT_BINS: [&str; 9] = [
     env!("CARGO_BIN_EXE_fig2"),
     env!("CARGO_BIN_EXE_fig3"),
     env!("CARGO_BIN_EXE_fig5"),
-    env!("CARGO_BIN_EXE_fig5_naive"),
+    env!("CARGO_BIN_EXE_fig5_asm"),
     env!("CARGO_BIN_EXE_fig6"),
     env!("CARGO_BIN_EXE_fig7"),
     env!("CARGO_BIN_EXE_table2"),
@@ -55,8 +56,35 @@ fn experiment_bins_reject_malformed_values_with_exit_2() {
 }
 
 #[test]
-fn debug_wedge_rejects_unknown_mechanism_with_exit_2() {
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_debug_wedge"), &["warp"]);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
+fn fig5_asm_rejects_bad_programs_with_exit_2_and_no_report() {
+    let dir = std::env::temp_dir().join(format!("smtx-cli-fig5-asm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bogus = dir.join("bogus.s");
+    std::fs::write(&bogus, "bogus r1\n").unwrap();
+    let json = dir.join("report.json");
+    let bin = env!("CARGO_BIN_EXE_fig5_asm");
+    let json_args = ["--json", json.to_str().unwrap()];
+    let cases: [(&[&str], String); 3] = [
+        (&["--program", "/nonexistent.s"], "/nonexistent.s: ".to_string()),
+        (&["--program", bogus.to_str().unwrap()], format!("{}:1:", bogus.display())),
+        // No `--program` and no `asm/` beside the working directory.
+        (&[], "asm: ".to_string()),
+    ];
+    for (args, diagnostic) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .args(json_args)
+            .current_dir(&dir)
+            .output()
+            .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2, stderr: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {diagnostic}")),
+            "{args:?} must name the diagnostic on stderr, got: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout: {:?}", out.stdout);
+        assert!(!json.exists(), "{args:?} must not write a --json report");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

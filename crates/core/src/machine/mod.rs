@@ -964,57 +964,4 @@ impl Machine {
 
     #[cfg(not(debug_assertions))]
     fn debug_check_invariants(&self) {}
-
-    /// Renders the machine's in-flight state for debugging wedges: thread
-    /// states, fetch control, window heads, handler records and walks.
-    #[must_use]
-    pub fn debug_dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "cycle {} window {} events {}", self.cycle, self.window.len(), self.events.len());
-        for (tid, t) in self.threads.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "t{tid} {:?} pc={:#x} pal={} stopped={} stall_until={} redirect={:?} pipe={} buf={} rob={}",
-                t.state,
-                t.fetch_pc,
-                t.fetch_pal,
-                t.fetch_stopped,
-                t.fetch_stalled_until,
-                t.redirect_wait,
-                t.fetch_pipe.len(),
-                t.fetch_buffer.len(),
-                t.rob.len()
-            );
-            for &seq in t.rob.iter().take(6) {
-                let i = self.window.get(seq).expect("rob entry in window");
-                let (flags, earliest) = self.window.issue_state(seq).expect("live");
-                let _ = writeln!(
-                    s,
-                    "  seq {seq} {} pc={:#x} issued={} done={} wait_tlb={:?} handler={:?} srcs_ready={} earliest={}",
-                    i.inst,
-                    i.pc,
-                    flags & crate::window::F_ISSUED != 0,
-                    flags & crate::window::F_DONE != 0,
-                    i.waiting_tlb,
-                    i.handler_tid,
-                    i.srcs_ready(),
-                    earliest
-                );
-            }
-        }
-        for h in &self.handlers {
-            let _ = writeln!(
-                s,
-                "handler tid={} master={} exc_seq={} key={:?} inserted={}",
-                h.handler_tid, h.master, h.exc_seq, h.key, h.inserted
-            );
-        }
-        for w in &self.walks {
-            let _ = writeln!(s, "walk key={:?} fault={} done={:?}", w.key, w.fault_seq, w.done_at);
-        }
-        let _ = writeln!(s, "waiters: {:?}", self.waiters.keys().collect::<Vec<_>>());
-        let _ = writeln!(s, "ring capacity {}", self.window.capacity());
-        s
-    }
 }
