@@ -66,6 +66,15 @@ fn is_ident_continue(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
+/// Whether a number literal's text so far is a decimal mantissa followed
+/// by `e`/`E`, so a following sign belongs to the exponent (`1e-3`).
+fn is_decimal_exponent_start(lit: &[char]) -> bool {
+    let Some((last, mantissa)) = lit.split_last() else { return false };
+    matches!(last, 'e' | 'E')
+        && !mantissa.is_empty()
+        && mantissa.iter().all(|c| c.is_ascii_digit() || matches!(c, '_' | '.'))
+}
+
 /// Extracts every `lint:allow(NAME)` directive from a comment's text.
 fn harvest_allows(text: &str, line: usize, standalone: bool, out: &mut Vec<Allow>) {
     let mut rest = text;
@@ -269,7 +278,10 @@ pub fn lex(src: &str) -> Lexed {
                 while j < chars.len()
                     && (is_ident_continue(chars[j])
                         || (chars[j] == '.'
-                            && chars.get(j + 1).is_some_and(char::is_ascii_digit)))
+                            && chars.get(j + 1).is_some_and(char::is_ascii_digit))
+                        || (matches!(chars[j], '+' | '-')
+                            && chars.get(j + 1).is_some_and(char::is_ascii_digit)
+                            && is_decimal_exponent_start(&chars[i..j])))
                 {
                     j += 1;
                 }
@@ -333,6 +345,16 @@ mod tests {
         let lexed = lex("let x = 0.5; let r = 0..32;");
         assert!(lexed.tokens.iter().any(|t| t.text == "0.5"));
         assert!(lexed.tokens.iter().any(|t| t.kind == TokenKind::Number && t.text == "0"));
+    }
+
+    #[test]
+    fn signed_exponents_stay_in_decimal_literals_only() {
+        let lexed = lex("a = 1e-3; b = 2.5E+4; c = 0x1e-3; d = n-1;");
+        let texts: Vec<String> = lexed.tokens.into_iter().map(|t| t.text).collect();
+        assert!(texts.contains(&"1e-3".to_string()), "{texts:?}");
+        assert!(texts.contains(&"2.5E+4".to_string()), "{texts:?}");
+        assert!(texts.contains(&"0x1e".to_string()), "{texts:?}");
+        assert!(texts.contains(&"1".to_string()), "{texts:?}");
     }
 
     #[test]

@@ -1,28 +1,26 @@
-//! The `smtx-check` CLI:
-//! `cargo run -p smtx-check -- lint|lint2 [--root PATH] [--json] [--cache PATH]`.
+//! The `smtx-check` CLI: `cargo run -p smtx-check -- lint [--root PATH] [--json]`.
 //!
-//! `lint` runs the token-level rules, `lint2` the interprocedural
-//! concurrency rules, over every `.rs` file under `<root>/crates/*/src`.
-//! Both exit nonzero if any unsuppressed finding fires, printing one
+//! Runs all nine rules over every `.rs` file under `<root>/crates/*/src`
+//! and exits nonzero if any unsuppressed finding fires, printing one
 //! `path:line: [rule] message` per finding (or a JSON array with
 //! `--json`, which also includes `lint:allow`-suppressed findings with
 //! their escape status).
 
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: smtx-check lint|lint2 [--root PATH] [--json] [--cache PATH]
+const USAGE: &str = "usage: smtx-check lint [--root PATH] [--json]
 
 Runs smtx-lint over every .rs file under <root>/crates/*/src (root
 defaults to the current directory). Exits 1 if any rule fires.
 
-lint rules (token-level):
+token rules:
   no-unordered-iteration   no HashMap/HashSet in result-affecting paths
   no-wallclock-in-core     no Instant/SystemTime in simulated-time crates
   no-float-in-model        no f32/f64 in cycle-model state or stats
   no-silent-narrowing      no truncating `as` casts on counters
   no-unwrap-in-serve       no panics in the HTTP request-parsing path
 
-lint2 rules (interprocedural, crates/{core,bench,serve,fleet,util}):
+interprocedural rules (crates/{core,bench,serve,fleet,util,asm}):
   lock-order               no cycles in the acquired-while-held graph
   no-lock-across-io        no lock class held across I/O, transitively
   no-blocking-in-reactor   event-loop callbacks must not block
@@ -31,7 +29,6 @@ lint2 rules (interprocedural, crates/{core,bench,serve,fleet,util}):
 
 Options:
   --json        machine-readable findings, including allowed ones
-  --cache PATH  (lint2) per-file summary cache keyed by content hash
 
 Escape hatch: `// lint:allow(rule-name): justification` on the offending
 line, or on its own line immediately above (covers a following block).";
@@ -39,26 +36,17 @@ line, or on its own line immediately above (covers a following block).";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root = std::path::PathBuf::from(".");
-    let mut cache: Option<std::path::PathBuf> = None;
     let mut json = false;
-    let mut mode: Option<&str> = None;
+    let mut lint = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "lint" => mode = Some("lint"),
-            "lint2" => mode = Some("lint2"),
+            "lint" => lint = true,
             "--json" => json = true,
             "--root" => match it.next() {
                 Some(p) => root = std::path::PathBuf::from(p),
                 None => {
                     eprintln!("--root needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--cache" => match it.next() {
-                Some(p) => cache = Some(std::path::PathBuf::from(p)),
-                None => {
-                    eprintln!("--cache needs a path\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -72,48 +60,31 @@ fn main() -> ExitCode {
             }
         }
     }
-    match mode {
-        Some("lint") => match smtx_check::lint_root_all(&root) {
-            Ok((violations, files)) => report("smtx-lint", &violations, files, json),
-            Err(e) => {
-                eprintln!("smtx-check: {e}");
-                ExitCode::from(2)
-            }
-        },
-        Some("lint2") => match smtx_check::lint2_root(&root, cache.as_deref()) {
-            Ok(analysis) => report("smtx-lint2", &analysis.findings, analysis.files, json),
-            Err(e) => {
-                eprintln!("smtx-check: {e}");
-                ExitCode::from(2)
-            }
-        },
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
+    if !lint {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     }
-}
-
-fn report(
-    tool: &str,
-    findings: &[smtx_check::LintViolation],
-    files: usize,
-    json: bool,
-) -> ExitCode {
-    let errors = findings.iter().filter(|v| !v.allowed).count();
+    let analysis = match smtx_check::lint_root(&root) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("smtx-check: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let errors = analysis.errors();
     if json {
-        print!("{}", smtx_check::findings_to_json(findings));
+        print!("{}", smtx_check::findings_to_json(&analysis.findings));
     } else {
-        for v in findings.iter().filter(|v| !v.allowed) {
+        for v in &errors {
             println!("{v}");
         }
-        if errors == 0 {
-            println!("{tool}: {files} files clean");
+        if errors.is_empty() {
+            println!("smtx-lint: {} files clean", analysis.files);
         } else {
-            println!("{tool}: {errors} violation(s) in {files} files");
+            println!("smtx-lint: {} violation(s) in {} files", errors.len(), analysis.files);
         }
     }
-    if errors == 0 {
+    if errors.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -587,9 +587,10 @@ fn end_with_drops(end: usize, start: usize, binding: Option<&str>, drops: &[(usi
 mod tests {
     use super::*;
     use crate::summaries::scan;
+    use crate::syntax::parse;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::build(files.iter().map(|(p, s)| scan(p, s)).collect())
+        Workspace::build(files.iter().map(|(p, s)| scan(&parse(p, s))).collect())
     }
 
     #[test]

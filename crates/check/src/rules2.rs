@@ -1,7 +1,8 @@
-//! The four interprocedural rules (`smtx-check lint2`).
+//! The four interprocedural rules.
 //!
-//! On top of the resolved summaries from [`crate::resolve`], this module
-//! runs workspace-global fixpoints and emits findings for:
+//! On top of the resolved summaries from [`crate::resolve`] (built from
+//! the [`SCOPE2`] files only), this module runs workspace-global
+//! fixpoints and emits findings for:
 //!
 //! - **lock-order** — build the acquired-while-held graph over lock
 //!   classes (direct acquisitions plus, transitively, the acquire-set of
@@ -25,22 +26,15 @@
 //!
 //! Soundness: unresolvable calls (trait objects, std library) are
 //! leaves assumed not to lock or block — the documented
-//! under-approximation (DESIGN.md §16). Everything the resolver *can*
+//! under-approximation (DESIGN.md §11). Everything the resolver *can*
 //! see is over-approximated: a lock is considered held from acquisition
 //! to the end of its lexical extent, and all calls in that span count.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 use crate::resolve::{substitute, Class, FnId, RSummary, Workspace};
 use crate::rules::LintViolation;
-use crate::summaries::{
-    content_hash, facts_from_lines, facts_to_lines, scan, FileFacts, CACHE_VERSION,
-};
-
-/// Rule names for `lint2`, in reporting order.
-pub const RULE2_NAMES: [&str; 4] =
-    ["lock-order", "no-lock-across-io", "no-blocking-in-reactor", "digest-taint"];
+use crate::summaries::FileFacts;
 
 /// Crates covered by the interprocedural analysis.
 pub const SCOPE2: [&str; 6] = [
@@ -69,32 +63,6 @@ pub struct DigestReport {
     pub read: Vec<String>,
 }
 
-/// Result of one `lint2` run.
-#[derive(Debug, Clone, Default)]
-pub struct Analysis {
-    /// All findings, including `lint:allow`-suppressed ones.
-    pub findings: Vec<LintViolation>,
-    /// Number of files analyzed.
-    pub files: usize,
-    /// Digest-membership derivation (empty when no `MachineConfig`).
-    pub digest: DigestReport,
-}
-
-impl Analysis {
-    /// Findings not suppressed by a `lint:allow` directive.
-    #[must_use]
-    pub fn errors(&self) -> Vec<&LintViolation> {
-        self.findings.iter().filter(|f| !f.allowed).collect()
-    }
-}
-
-fn is_allowed(allows: &[(String, usize, usize)], rule: &str, line: usize) -> bool {
-    let bare = rule.strip_prefix("no-").unwrap_or(rule);
-    allows.iter().any(|(name, lo, hi)| {
-        line >= *lo && line <= *hi && name.strip_prefix("no-").unwrap_or(name) == bare
-    })
-}
-
 fn fn_label(ws: &Workspace, id: FnId) -> String {
     let fun = ws.fun(id);
     match &fun.self_ty {
@@ -103,12 +71,12 @@ fn fn_label(ws: &Workspace, id: FnId) -> String {
     }
 }
 
-/// Analyzes pre-scanned file facts. Files outside [`SCOPE2`] should not
-/// be included.
+/// Runs the four rules over the [`SCOPE2`] files' facts. Findings come
+/// back unallowed and unsorted; the caller applies `lint:allow` and the
+/// one reporting order to every rule at once.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
-    let count = files.len();
+pub(crate) fn interprocedural(files: Vec<FileFacts>) -> (Vec<LintViolation>, DigestReport) {
     let ws = Workspace::build(files);
     let gc = ws.guard_classes();
     let ids: Vec<FnId> = ws.live_fns().collect();
@@ -213,7 +181,7 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
         findings.push(LintViolation {
             path,
             line,
-            rule: RULE2_NAMES[0],
+            rule: "lock-order",
             message: format!(
                 "lock-order cycle {}: two threads taking these locks in opposite order can \
                  deadlock; witnesses: {}",
@@ -264,7 +232,7 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
             findings.push(LintViolation {
                 path: path_of(*id),
                 line: op.line,
-                rule: RULE2_NAMES[1],
+                rule: "no-lock-across-io",
                 message: format!(
                     "lock class {} held across I/O ({} in {}): drop the guard before \
                      touching the stream, or justify with `// lint:allow(no-lock-across-io): ...`",
@@ -284,7 +252,7 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
                 findings.push(LintViolation {
                     path: path_of(*id),
                     line: c.line,
-                    rule: RULE2_NAMES[1],
+                    rule: "no-lock-across-io",
                     message: format!(
                         "lock class {} held across call to {}(), which reaches I/O: {}",
                         held.join(", "),
@@ -333,7 +301,7 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
             findings.push(LintViolation {
                 path: site.0,
                 line: site.1,
-                rule: RULE2_NAMES[2],
+                rule: "no-blocking-in-reactor",
                 message: format!(
                     "blocking operation ({}) reachable from event-loop callback: {}; \
                      reactor callbacks must hand blocking work to worker threads",
@@ -347,20 +315,19 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
     // --- digest-taint ---
     let mut digest = DigestReport::default();
     let mut digested_at: BTreeMap<String, (String, usize)> = BTreeMap::new();
-    for (fi, f) in ws.files.iter().enumerate() {
+    for f in &ws.files {
         for (name, fields) in &f.structs {
             if name == "MachineConfig" {
                 digest.fields = fields.iter().map(|(n, _, _)| n.clone()).collect();
             }
         }
-        for (xi, fun) in f.fns.iter().enumerate() {
+        for fun in &f.fns {
             if fun.name == "digest" && fun.self_ty.as_deref() == Some("MachineConfig") && !fun.is_test
             {
-                let _ = xi;
                 for (field, line) in &fun.digest_writes {
                     digested_at
                         .entry(field.clone())
-                        .or_insert_with(|| (ws.files[fi].path.clone(), *line));
+                        .or_insert_with(|| (f.path.clone(), *line));
                 }
             }
         }
@@ -386,7 +353,7 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
                 findings.push(LintViolation {
                     path: path.clone(),
                     line: *line,
-                    rule: RULE2_NAMES[3],
+                    rule: "digest-taint",
                     message: format!(
                         "MachineConfig field `{field}` is read during stepping but not \
                          covered by MachineConfig::digest(): two configs differing in \
@@ -401,7 +368,7 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
                 findings.push(LintViolation {
                     path: path.clone(),
                     line: *line,
-                    rule: RULE2_NAMES[3],
+                    rule: "digest-taint",
                     message: format!(
                         "scheduling-only knob `{field}` must not enter MachineConfig::digest(): \
                          it cannot change simulated results, so digesting it splits \
@@ -413,109 +380,12 @@ pub fn analyze_facts(files: Vec<FileFacts>) -> Analysis {
         }
     }
 
-    // --- apply lint:allow, order by (rule, path, line) ---
-    let allows_by_path: BTreeMap<&str, &[(String, usize, usize)]> =
-        ws.files.iter().map(|f| (f.path.as_str(), f.allows.as_slice())).collect();
-    for f in &mut findings {
-        if let Some(allows) = allows_by_path.get(f.path.as_str()) {
-            f.allowed = is_allowed(allows, f.rule, f.line);
-        }
-    }
-    let rank = |r: &str| RULE2_NAMES.iter().position(|n| *n == r).unwrap_or(RULE2_NAMES.len());
-    findings.sort_by(|a, b| {
-        (rank(a.rule), &a.path, a.line, &a.message).cmp(&(rank(b.rule), &b.path, b.line, &b.message))
-    });
-    Analysis { findings, files: count, digest }
-}
-
-/// Analyzes in-memory `(relative path, source)` pairs; out-of-scope
-/// paths are skipped. This is the mutation-testing entry point.
-#[must_use]
-pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
-    let facts: Vec<FileFacts> = files
-        .iter()
-        .filter(|(p, _)| SCOPE2.iter().any(|s| p.starts_with(s)))
-        .map(|(p, s)| scan(p, s))
-        .collect();
-    analyze_facts(facts)
-}
-
-/// Runs `lint2` over `<root>/crates/*/src`, using (and refreshing) the
-/// per-file summary cache at `cache` when given. Cache entries are
-/// keyed by a content hash of `(path, source)`; stale and deleted
-/// entries are pruned on save.
-///
-/// # Errors
-///
-/// Returns an error string if the tree cannot be read.
-pub fn lint2_root(root: &Path, cache: Option<&Path>) -> Result<Analysis, String> {
-    let mut cached: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-    if let Some(cp) = cache {
-        if let Ok(text) = std::fs::read_to_string(cp) {
-            let mut lines = text.lines();
-            if lines.next() == Some(CACHE_VERSION) {
-                let rest: Vec<&str> = lines.collect();
-                let mut i = 0;
-                while i < rest.len() {
-                    let Some(hdr) = rest[i].strip_prefix('#') else { break };
-                    let mut w = hdr.split(' ');
-                    let (Some(h), Some(n)) = (w.next(), w.next()) else { break };
-                    let (Ok(h), Ok(n)) = (u64::from_str_radix(h, 16), n.parse::<usize>()) else {
-                        break;
-                    };
-                    if i + 1 + n > rest.len() {
-                        break;
-                    }
-                    cached.insert(h, rest[i + 1..i + 1 + n].iter().map(|s| (*s).to_string()).collect());
-                    i += 1 + n;
-                }
-            }
-        }
-    }
-    let paths = crate::rules::workspace_rs_files(root)?;
-    let mut facts = Vec::new();
-    let mut save: Vec<(u64, Vec<String>)> = Vec::new();
-    for p in paths {
-        let rel = p
-            .strip_prefix(root)
-            .map_err(|_| "file outside root".to_string())?
-            .to_string_lossy()
-            .replace('\\', "/");
-        if !SCOPE2.iter().any(|s| rel.starts_with(s)) {
-            continue;
-        }
-        let src = std::fs::read_to_string(&p)
-            .map_err(|e| format!("cannot read {}: {e}", p.display()))?;
-        let h = content_hash(&rel, &src);
-        let f = cached
-            .get(&h)
-            .and_then(|lines| {
-                let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-                facts_from_lines(&refs)
-            })
-            .unwrap_or_else(|| scan(&rel, &src));
-        save.push((h, facts_to_lines(&f)));
-        facts.push(f);
-    }
-    if let Some(cp) = cache {
-        let mut out = String::from(CACHE_VERSION);
-        out.push('\n');
-        for (h, lines) in &save {
-            out.push_str(&format!("#{h:x} {}\n", lines.len()));
-            for l in lines {
-                out.push_str(l);
-                out.push('\n');
-            }
-        }
-        // Best-effort: an unwritable cache must not fail the lint.
-        let _ = std::fs::write(cp, out);
-    }
-    Ok(analyze_facts(facts))
+    (findings, digest)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{analyze_sources, Analysis};
 
     fn run(files: &[(&str, &str)]) -> Analysis {
         let owned: Vec<(String, String)> =

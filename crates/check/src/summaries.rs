@@ -1,14 +1,11 @@
-//! Per-file facts for the interprocedural pass: a single scan over each
-//! function body that records, with token positions, every lock
-//! acquisition site, call site, blocking / I/O operation, guard extent
-//! and local-variable type hint — all *symbolic* (receiver chains as
-//! identifier lists, callees by name), so the result is self-contained
-//! and serializable. Name resolution, lock-class assignment and
-//! held-set computation happen later, in [`crate::resolve`], from these
-//! facts plus the workspace-wide index; that split is what makes the
-//! per-file summary cache (keyed by content hash) sound: a file's facts
-//! depend only on its own text, while everything cross-file is
-//! recomputed on every run.
+//! Per-file facts for the interprocedural pass: a single walk over each
+//! function body of a parsed [`SynFile`] that records, with token
+//! positions, every lock acquisition site, call site, blocking / I/O
+//! operation, guard extent and local-variable type hint — all
+//! *symbolic* (receiver chains as identifier lists, callees by name).
+//! Name resolution, lock-class assignment and held-set computation
+//! happen later, in [`crate::resolve`], from these facts plus the
+//! workspace-wide index.
 
 use crate::lexer::TokenKind;
 use crate::syntax::{self, StructDef, SynFile, UseDecl};
@@ -129,7 +126,7 @@ pub struct FnFact {
 /// `(name, base type, is lock)`.
 pub type StructFacts = (String, Vec<(String, String, bool)>);
 
-/// The cacheable per-file summary: everything the global phase needs.
+/// The per-file summary: everything the global phase needs.
 #[derive(Debug, Clone)]
 pub struct FileFacts {
     /// Workspace-relative path.
@@ -140,8 +137,6 @@ pub struct FileFacts {
     pub structs: Vec<StructFacts>,
     /// Function facts; spawned closures follow their parent.
     pub fns: Vec<FnFact>,
-    /// `lint:allow` ranges `(rule, first_line, last_line)`.
-    pub allows: Vec<(String, usize, usize)>,
     /// `config.<field>` access sites outside test code (digest-taint).
     pub config_reads: Vec<(String, usize)>,
 }
@@ -156,12 +151,9 @@ const GUARD_SUFFIXES: [&str; 4] = ["expect", "unwrap", "unwrap_or_else", "unwrap
 const KEYWORDS: [&str; 12] =
     ["if", "while", "match", "for", "return", "loop", "in", "as", "let", "move", "else", "break"];
 
-/// Scans one source file into its [`FileFacts`].
+/// Summarizes one parsed source file into its [`FileFacts`].
 #[must_use]
-pub fn scan(path: &str, src: &str) -> FileFacts {
-    let sf = syntax::parse(path, src);
-    let mask = crate::rules::test_item_mask(&sf.lexed);
-    let allows = crate::rules::allow_ranges(&sf.lexed);
+pub fn scan(sf: &SynFile) -> FileFacts {
     let mut fns: Vec<FnFact> = Vec::new();
     for def in &sf.fns {
         let mut fact = FnFact {
@@ -181,7 +173,7 @@ pub fn scan(path: &str, src: &str) -> FileFacts {
             digest_writes: Vec::new(),
         };
         let mut synth = Vec::new();
-        scan_body(&sf, def.body, &mut fact, &mut synth);
+        scan_body(sf, def.body, &mut fact, &mut synth);
         let parent_idx = fns.len();
         fns.push(fact);
         for mut s in synth {
@@ -197,13 +189,13 @@ pub fn scan(path: &str, src: &str) -> FileFacts {
             && toks.get(i + 1).is_some_and(|t| t.text == ".")
             && toks.get(i + 2).is_some_and(|t| t.kind == TokenKind::Ident)
             && toks.get(i + 3).is_none_or(|t| t.text != "(")
-            && !mask[i]
+            && !sf.test_mask[i]
         {
             config_reads.push((toks[i + 2].text.clone(), toks[i].line));
         }
     }
     FileFacts {
-        path: path.to_string(),
+        path: sf.path.clone(),
         uses: sf.uses.clone(),
         structs: sf
             .structs
@@ -216,7 +208,6 @@ pub fn scan(path: &str, src: &str) -> FileFacts {
             })
             .collect(),
         fns,
-        allows,
         config_reads,
     }
 }
@@ -714,270 +705,19 @@ fn spawn_closure(
     resume
 }
 
-// ---------------------------------------------------------------------
-// Cache serialization: a line-based, whitespace-separated format. Every
-// field that can be empty serializes as `-`; chains join with `.`,
-// paths with `::`. No field ever contains whitespace.
-// ---------------------------------------------------------------------
-
-/// Cache format version tag; bump on any layout change.
-pub const CACHE_VERSION: &str = "smtx-lint2-cache v3";
-
-/// FNV-1a 64 over `path NUL content` — the summary-cache key.
-#[must_use]
-pub fn content_hash(path: &str, src: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.bytes().chain(std::iter::once(0u8)).chain(src.bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn opt(s: Option<&str>) -> String {
-    match s {
-        Some(x) if !x.is_empty() => x.to_string(),
-        _ => "-".to_string(),
-    }
-}
-
-fn join(sep: &str, parts: &[String]) -> String {
-    if parts.is_empty() {
-        "-".to_string()
-    } else {
-        parts.join(sep)
-    }
-}
-
-fn unopt(s: &str) -> Option<String> {
-    if s == "-" {
-        None
-    } else {
-        Some(s.to_string())
-    }
-}
-
-fn unjoin(sep: &str, s: &str) -> Vec<String> {
-    if s == "-" {
-        Vec::new()
-    } else {
-        s.split(sep).map(str::to_string).collect()
-    }
-}
-
-/// Serializes facts to cache lines.
-#[must_use]
-pub fn facts_to_lines(f: &FileFacts) -> Vec<String> {
-    let mut out = vec![format!("F {}", f.path)];
-    for u in &f.uses {
-        out.push(format!("U {} {}", u.alias, join("::", &u.path)));
-    }
-    for (name, fields) in &f.structs {
-        let fs: Vec<String> =
-            fields.iter().map(|(n, b, l)| format!("{n}:{b}:{}", u8::from(*l))).collect();
-        out.push(format!("S {} {}", name, join(",", &fs)));
-    }
-    for (rule, lo, hi) in &f.allows {
-        out.push(format!("A {rule} {lo} {hi}"));
-    }
-    for (field, line) in &f.config_reads {
-        out.push(format!("R {field} {line}"));
-    }
-    for fun in &f.fns {
-        out.push(format!(
-            "N {} {} {} {} {} {} {}",
-            fun.name,
-            opt(fun.self_ty.as_deref()),
-            opt(fun.trait_name.as_deref()),
-            fun.line,
-            u8::from(fun.returns_guard),
-            u8::from(fun.is_test),
-            fun.spawned_from.map_or("-".to_string(), |x| x.to_string()),
-        ));
-        for (n, b) in &fun.params {
-            out.push(format!("P {n} {b}"));
-        }
-        for (n, h) in &fun.locals {
-            match h {
-                LocalHint::Ty(t) => out.push(format!("L {n} T {t}")),
-                LocalHint::Alias(c) => out.push(format!("L {n} A {}", join(".", c))),
-            }
-        }
-        for g in &fun.guards {
-            out.push(format!(
-                "G {} {} {} {} {} {}",
-                g.pos,
-                g.line,
-                g.end,
-                g.method,
-                opt(g.binding.as_deref()),
-                join(".", &g.chain)
-            ));
-        }
-        for c in &fun.calls {
-            out.push(format!(
-                "C {} {} {} {} {} {} {} {}",
-                c.pos,
-                c.line,
-                c.args_end,
-                c.guard_end,
-                opt(c.guard_binding.as_deref()),
-                c.name,
-                join(".", &c.chain),
-                join("::", &c.path)
-            ));
-        }
-        for o in &fun.ops {
-            let kind = match o.kind {
-                OpKind::Io => "io",
-                OpKind::Block => "blk",
-                OpKind::MaybeIo => "mio",
-            };
-            out.push(format!("O {} {} {} {} {}", o.pos, o.line, kind, o.what, join(".", &o.chain)));
-        }
-        for (pos, name) in &fun.drops {
-            out.push(format!("D {pos} {name}"));
-        }
-        for (field, line) in &fun.digest_writes {
-            out.push(format!("W {field} {line}"));
-        }
-    }
-    out
-}
-
-/// Deserializes facts from cache lines; `None` on any malformed line.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn facts_from_lines(lines: &[&str]) -> Option<FileFacts> {
-    let mut it = lines.iter();
-    let first = it.next()?;
-    let path = first.strip_prefix("F ")?.to_string();
-    let mut f = FileFacts {
-        path,
-        uses: Vec::new(),
-        structs: Vec::new(),
-        fns: Vec::new(),
-        allows: Vec::new(),
-        config_reads: Vec::new(),
-    };
-    for line in it {
-        let mut w = line.split_whitespace();
-        let tag = w.next()?;
-        match tag {
-            "U" => {
-                let alias = w.next()?.to_string();
-                let path = unjoin("::", w.next()?);
-                f.uses.push(UseDecl { alias, path });
-            }
-            "S" => {
-                let name = w.next()?.to_string();
-                let mut fields = Vec::new();
-                for part in unjoin(",", w.next()?) {
-                    let mut p = part.split(':');
-                    fields.push((
-                        p.next()?.to_string(),
-                        p.next()?.to_string(),
-                        p.next()? == "1",
-                    ));
-                }
-                f.structs.push((name, fields));
-            }
-            "A" => {
-                f.allows.push((
-                    w.next()?.to_string(),
-                    w.next()?.parse().ok()?,
-                    w.next()?.parse().ok()?,
-                ));
-            }
-            "R" => f.config_reads.push((w.next()?.to_string(), w.next()?.parse().ok()?)),
-            "N" => {
-                f.fns.push(FnFact {
-                    name: w.next()?.to_string(),
-                    self_ty: unopt(w.next()?),
-                    trait_name: unopt(w.next()?),
-                    line: w.next()?.parse().ok()?,
-                    returns_guard: w.next()? == "1",
-                    is_test: w.next()? == "1",
-                    spawned_from: match w.next()? {
-                        "-" => None,
-                        x => Some(x.parse().ok()?),
-                    },
-                    params: Vec::new(),
-                    locals: Vec::new(),
-                    guards: Vec::new(),
-                    calls: Vec::new(),
-                    ops: Vec::new(),
-                    drops: Vec::new(),
-                    digest_writes: Vec::new(),
-                });
-            }
-            "P" => {
-                f.fns.last_mut()?.params.push((w.next()?.to_string(), w.next()?.to_string()));
-            }
-            "L" => {
-                let n = w.next()?.to_string();
-                let hint = match w.next()? {
-                    "T" => LocalHint::Ty(w.next()?.to_string()),
-                    _ => LocalHint::Alias(unjoin(".", w.next()?)),
-                };
-                f.fns.last_mut()?.locals.push((n, hint));
-            }
-            "G" => {
-                f.fns.last_mut()?.guards.push(GuardEv {
-                    pos: w.next()?.parse().ok()?,
-                    line: w.next()?.parse().ok()?,
-                    end: w.next()?.parse().ok()?,
-                    method: w.next()?.to_string(),
-                    binding: unopt(w.next()?),
-                    chain: unjoin(".", w.next()?),
-                });
-            }
-            "C" => {
-                f.fns.last_mut()?.calls.push(CallEv {
-                    pos: w.next()?.parse().ok()?,
-                    line: w.next()?.parse().ok()?,
-                    args_end: w.next()?.parse().ok()?,
-                    guard_end: w.next()?.parse().ok()?,
-                    guard_binding: unopt(w.next()?),
-                    name: w.next()?.to_string(),
-                    chain: unjoin(".", w.next()?),
-                    path: unjoin("::", w.next()?),
-                });
-            }
-            "O" => {
-                f.fns.last_mut()?.ops.push(OpEv {
-                    pos: w.next()?.parse().ok()?,
-                    line: w.next()?.parse().ok()?,
-                    kind: match w.next()? {
-                        "io" => OpKind::Io,
-                        "blk" => OpKind::Block,
-                        _ => OpKind::MaybeIo,
-                    },
-                    what: w.next()?.to_string(),
-                    chain: unjoin(".", w.next()?),
-                });
-            }
-            "D" => {
-                f.fns.last_mut()?.drops.push((w.next()?.parse().ok()?, w.next()?.to_string()));
-            }
-            "W" => {
-                f.fns.last_mut()?.digest_writes.push((w.next()?.to_string(), w.next()?.parse().ok()?));
-            }
-            _ => return None,
-        }
-    }
-    Some(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan_src(src: &str) -> FileFacts {
+        scan(&syntax::parse("crates/x/src/a.rs", src))
+    }
 
     #[test]
     fn let_bound_guard_extends_to_block_end_temp_to_statement() {
         let src = "impl C { fn a(&self) { let g = self.inner.lock().unwrap(); use_it(); } \
                    fn b(&self) { self.inner.lock().unwrap().push(1); after(); } }";
-        let f = scan("crates/x/src/a.rs", src);
+        let f = scan_src(src);
         let a = &f.fns[0];
         assert_eq!(a.guards.len(), 1);
         assert!(a.guards[0].binding.is_some());
@@ -993,7 +733,7 @@ mod tests {
     #[test]
     fn spawn_closures_become_synthetic_fns() {
         let src = "fn outer(ctx: &Ctx) { std::thread::spawn(move || { ctx.svc.wait_drained(); }); after(); }";
-        let f = scan("crates/x/src/a.rs", src);
+        let f = scan_src(src);
         assert_eq!(f.fns.len(), 2);
         assert!(f.fns[1].name.contains("spawn@"));
         assert_eq!(f.fns[1].spawned_from, Some(0));
@@ -1007,24 +747,13 @@ mod tests {
     #[test]
     fn receiver_chains_skip_index_groups() {
         let src = "impl S { fn f(&self, i: usize) { self.shards[i].lock().unwrap(); } }";
-        let f = scan("crates/x/src/a.rs", src);
+        let f = scan_src(src);
         assert_eq!(f.fns[0].guards[0].chain, vec!["self", "shards"]);
     }
 
     #[test]
-    fn facts_round_trip_through_the_cache_format() {
-        let src = "impl C { fn a(&self) -> MutexGuard<'_, I> { self.inner.lock().unwrap() } }\n\
-                   fn free(x: &Arc<C>) { let y = Arc::clone(x); y.a(); std::fs::write(1); }";
-        let f = scan("crates/serve/src/x.rs", src);
-        let lines = facts_to_lines(&f);
-        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-        let back = facts_from_lines(&refs).expect("round trip");
-        assert_eq!(facts_to_lines(&back), lines);
-    }
-
-    #[test]
     fn hasher_write_is_maybe_io_not_io() {
-        let f = scan("crates/x/src/a.rs", "fn f(h: &mut H) { h.write(&[1]); }");
+        let f = scan_src("fn f(h: &mut H) { h.write(&[1]); }");
         assert_eq!(f.fns[0].ops.len(), 1);
         assert_eq!(f.fns[0].ops[0].kind, OpKind::MaybeIo);
     }

@@ -1,7 +1,10 @@
 //! A lightweight item-level Rust syntax layer on top of [`crate::lexer`].
 //!
-//! Parses a lexed token stream into the items the interprocedural pass
-//! needs: `use` declarations (flattened, alias-aware), struct
+//! [`parse`] is the analyzer's one per-file scan: it lexes the file once
+//! and computes, once each, the bracket matching, the test-item mask
+//! (the single "is this test code?" decision, [`is_test_attr`]), the
+//! `lint:allow` ranges, and the items the interprocedural pass needs:
+//! `use` declarations (flattened, alias-aware), struct
 //! definitions with field types reduced to base identifiers, and
 //! functions — free or inside `impl` blocks — with parameter types,
 //! return-type classification (guard-returning or not) and body token
@@ -11,7 +14,7 @@
 //! blocks matter), and any unrecognized construct is stepped over
 //! token by token. Std-only, like the lexer it sits on.
 
-use crate::lexer::{lex, Lexed, TokenKind};
+use crate::lexer::{lex, Lexed, Token, TokenKind};
 
 /// One `use` declaration, flattened: `use a::b::{c, d as e};` yields
 /// `(c, [a, b, c])` and `(e, [a, b, d])`.
@@ -60,11 +63,14 @@ pub struct FnDef {
     pub params: Vec<(String, String)>,
     /// Whether the return type mentions a `MutexGuard`-style guard.
     pub returns_guard: bool,
-    /// Whether the function sits under `#[cfg(test)]` / `#[test]`.
+    /// Whether the function sits inside a test-only item ([`is_test_attr`]).
     pub is_test: bool,
     /// Token index range of the body, exclusive of the outer braces.
     pub body: (usize, usize),
 }
+
+/// A `lint:allow` directive's covered range: `(rule, first_line, last_line)`.
+pub type AllowRange = (String, usize, usize);
 
 /// A parsed source file: tokens plus the item structure above them.
 #[derive(Debug)]
@@ -78,6 +84,10 @@ pub struct SynFile {
     pub close_of: Vec<usize>,
     /// `open_of[i]` is the inverse map for closing brackets.
     pub open_of: Vec<usize>,
+    /// `test_mask[i]`: token `i` belongs to a test-only item.
+    pub test_mask: Vec<bool>,
+    /// Line ranges covered by `lint:allow` directives.
+    pub allows: Vec<AllowRange>,
     /// Flattened `use` declarations.
     pub uses: Vec<UseDecl>,
     /// Struct definitions.
@@ -89,11 +99,11 @@ pub struct SynFile {
 /// Wrappers that [`base_of_type`] looks through to find the base type.
 const WRAPPERS: [&str; 6] = ["Arc", "Rc", "Box", "Vec", "VecDeque", "Option"];
 
-fn is_ident(toks: &[crate::lexer::Token], i: usize) -> bool {
+fn is_ident(toks: &[Token], i: usize) -> bool {
     toks.get(i).is_some_and(|t| t.kind == TokenKind::Ident)
 }
 
-fn text(toks: &[crate::lexer::Token], i: usize) -> &str {
+fn text(toks: &[Token], i: usize) -> &str {
     toks.get(i).map_or("", |t| t.text.as_str())
 }
 
@@ -152,22 +162,135 @@ pub fn parse(path: &str, src: &str) -> SynFile {
             _ => {}
         }
     }
+    let test_mask = test_mask(&lexed.tokens, &close_of);
+    let allows = allow_ranges(&lexed, &close_of);
     let mut out = SynFile {
         path: path.to_string(),
         lexed,
         close_of,
         open_of,
+        test_mask,
+        allows,
         uses: Vec::new(),
         structs: Vec::new(),
         fns: Vec::new(),
     };
-    parse_items(&mut out, 0, n, false, None, None);
+    parse_items(&mut out, 0, n, None, None);
     out
+}
+
+/// Whether the attribute bracketed by `[` at `open` and `]` at `close`
+/// makes its item test-only: exactly `#[test]`, `#[cfg(test)]`, or
+/// `#[cfg(all(..))]` with `test` among the `all` arguments. Anything else
+/// — `#[cfg(not(test))]`, `#[cfg(any(test, ..))]` — may be compiled into
+/// the real build, so it is linted.
+#[must_use]
+pub fn is_test_attr(toks: &[Token], open: usize, close: usize) -> bool {
+    let t = |k: usize| if k < close { text(toks, k) } else { "" };
+    if close == open + 2 {
+        return t(open + 1) == "test";
+    }
+    if t(open + 1) != "cfg" || t(open + 2) != "(" {
+        return false;
+    }
+    match t(open + 3) {
+        "test" => close == open + 5,
+        "all" if t(open + 4) == "(" => {
+            // Only a direct argument counts: `all(not(test), ..)` is not test-only.
+            let mut depth = 0i32;
+            (open + 5..close).any(|k| {
+                match t(k) {
+                    "(" => depth += 1,
+                    ")" => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+                    && t(k) == "test"
+                    && matches!(t(k - 1), "(" | ",")
+                    && matches!(t(k + 1), "," | ")")
+            })
+        }
+        _ => false,
+    }
+}
+
+/// Marks every token of a test-only item (see [`is_test_attr`]): from
+/// the attribute to the end of the item's first `{..}` block, or to its
+/// `;` outside any bracket group.
+fn test_mask(toks: &[Token], close_of: &[usize]) -> Vec<bool> {
+    let n = toks.len();
+    let after = |k: usize| close_of[k].saturating_add(1).min(n);
+    let mut mask = vec![false; n];
+    let mut i = 0;
+    while i + 1 < n {
+        if toks[i].text != "#" || toks[i + 1].text != "[" {
+            i += 1;
+            continue;
+        }
+        let close = close_of[i + 1];
+        if close == usize::MAX {
+            break;
+        }
+        if !is_test_attr(toks, i + 1, close) {
+            i = close + 1;
+            continue;
+        }
+        let mut k = close + 1;
+        let end = loop {
+            match toks.get(k).map(|t| t.text.as_str()) {
+                None | Some("}" | ")" | "]") => break k.min(n),
+                Some("{") => break after(k),
+                Some(";") => break k + 1,
+                Some("(" | "[") => k = after(k),
+                _ => k += 1,
+            }
+        };
+        mask[i..end].fill(true);
+        i = end;
+    }
+    mask
+}
+
+/// Expands each allow directive into a covered line range. A trailing
+/// directive covers its own line; a standalone one covers the next code
+/// line, extended over a brace block that line opens.
+fn allow_ranges(lexed: &Lexed, close_of: &[usize]) -> Vec<AllowRange> {
+    let toks = &lexed.tokens;
+    let mut out = Vec::new();
+    for a in &lexed.allows {
+        if !a.standalone {
+            out.push((a.rule.clone(), a.line, a.line));
+            continue;
+        }
+        let Some(first) = toks.iter().position(|t| t.line > a.line) else {
+            out.push((a.rule.clone(), a.line, a.line + 1));
+            continue;
+        };
+        let code_line = toks[first].line;
+        let brace = (first..toks.len())
+            .take_while(|&i| toks[i].line == code_line)
+            .find(|&i| toks[i].text == "{");
+        let end_line = brace
+            .and_then(|i| toks.get(close_of[i]))
+            .map_or(code_line, |t| t.line);
+        out.push((a.rule.clone(), a.line, end_line));
+    }
+    out
+}
+
+/// Whether an allow range covers `rule` at `line`; the `no-` prefix is
+/// optional on both sides.
+#[must_use]
+pub fn is_allowed(allows: &[AllowRange], rule: &str, line: usize) -> bool {
+    let bare = rule.strip_prefix("no-").unwrap_or(rule);
+    allows.iter().any(|(name, lo, hi)| {
+        (*lo..=*hi).contains(&line) && name.strip_prefix("no-").unwrap_or(name) == bare
+    })
 }
 
 /// Skips a balanced `<...>` group starting at `i` (which must point at
 /// `<`); `->` arrows inside do not close the group.
-fn skip_angles(toks: &[crate::lexer::Token], mut i: usize) -> usize {
+fn skip_angles(toks: &[Token], mut i: usize) -> usize {
     let mut depth = 0usize;
     while i < toks.len() {
         match toks[i].text.as_str() {
@@ -190,36 +313,17 @@ fn parse_items(
     f: &mut SynFile,
     lo: usize,
     hi: usize,
-    in_test: bool,
     self_ty: Option<&str>,
     trait_name: Option<&str>,
 ) {
     let mut i = lo;
-    let mut attr_test = false;
     while i < hi {
         let toks = &f.lexed.tokens;
         match text(toks, i) {
             "#" => {
-                // `#[attr]` or `#![attr]`; detect `#[test]` / `#[cfg(test)]`.
+                // `#[attr]` or `#![attr]`: test-ness lives in `test_mask`.
                 let open = if text(toks, i + 1) == "!" { i + 2 } else { i + 1 };
-                if text(toks, open) == "[" {
-                    let close = f.close_of[open].min(hi);
-                    let mut saw_test = false;
-                    let mut saw_cfg = false;
-                    for j in open + 1..close {
-                        match text(toks, j) {
-                            "test" => saw_test = true,
-                            "cfg" => saw_cfg = true,
-                            _ => {}
-                        }
-                    }
-                    if saw_test && (saw_cfg || close == open + 2) {
-                        attr_test = true;
-                    }
-                    i = close + 1;
-                } else {
-                    i += 1;
-                }
+                i = if text(toks, open) == "[" { f.close_of[open].min(hi) + 1 } else { i + 1 };
             }
             "pub" => {
                 i += 1;
@@ -233,7 +337,6 @@ fn parse_items(
                 use_tree(toks, i + 1, end, Vec::new(), &mut uses, f, 0);
                 f.uses.extend(uses);
                 i = end + 1;
-                attr_test = false;
             }
             "mod" => {
                 // `mod name { ... }` or `mod name;`
@@ -243,16 +346,14 @@ fn parse_items(
                 }
                 if text(toks, j) == "{" {
                     let close = f.close_of[j].min(hi);
-                    parse_items(f, j + 1, close, in_test || attr_test, None, None);
+                    parse_items(f, j + 1, close, None, None);
                     i = close + 1;
                 } else {
                     i = j + 1;
                 }
-                attr_test = false;
             }
             "struct" => {
-                i = parse_struct(f, i, hi, in_test || attr_test);
-                attr_test = false;
+                i = parse_struct(f, i, hi);
             }
             "enum" | "union" | "trait" => {
                 // Skip the whole definition (trait default bodies are
@@ -266,22 +367,18 @@ fn parse_items(
                     }
                 }
                 i = if text(toks, j) == "{" { f.close_of[j].min(hi) + 1 } else { j + 1 };
-                attr_test = false;
             }
             "impl" => {
-                i = parse_impl(f, i, hi, in_test || attr_test);
-                attr_test = false;
+                i = parse_impl(f, i, hi);
             }
             "fn" => {
-                i = parse_fn(f, i, hi, in_test || attr_test, self_ty, trait_name);
-                attr_test = false;
+                i = parse_fn(f, i, hi, self_ty, trait_name);
             }
             "const" | "static" | "type" => {
                 if text(toks, i + 1) == "fn" {
                     i += 1; // `const fn` qualifier
                 } else {
                     i = stmt_semicolon(toks, i + 1, hi) + 1;
-                    attr_test = false;
                 }
             }
             "macro_rules" => {
@@ -290,7 +387,6 @@ fn parse_items(
                     j += 1;
                 }
                 i = if j < hi { f.close_of[j].min(hi) + 1 } else { hi };
-                attr_test = false;
             }
             _ => i += 1,
         }
@@ -298,7 +394,7 @@ fn parse_items(
 }
 
 /// Finds the `;` ending a block-less item, respecting nested brackets.
-fn stmt_semicolon(toks: &[crate::lexer::Token], mut i: usize, hi: usize) -> usize {
+fn stmt_semicolon(toks: &[Token], mut i: usize, hi: usize) -> usize {
     let mut depth = 0i32;
     while i < hi {
         match text(toks, i) {
@@ -314,7 +410,7 @@ fn stmt_semicolon(toks: &[crate::lexer::Token], mut i: usize, hi: usize) -> usiz
 
 /// Expands one `use` tree, pushing an alias per imported leaf.
 fn use_tree(
-    toks: &[crate::lexer::Token],
+    toks: &[Token],
     mut i: usize,
     end: usize,
     mut path: Vec<String>,
@@ -367,7 +463,7 @@ fn use_tree(
 }
 
 /// Parses a struct definition starting at the `struct` keyword.
-fn parse_struct(f: &mut SynFile, i: usize, hi: usize, _test: bool) -> usize {
+fn parse_struct(f: &mut SynFile, i: usize, hi: usize) -> usize {
     let toks = &f.lexed.tokens;
     let name = text(toks, i + 1).to_string();
     let mut j = i + 2;
@@ -439,7 +535,7 @@ fn parse_fields(f: &SynFile, lo: usize, hi: usize) -> Vec<FieldDef> {
 
 /// Parses an `impl` block starting at the `impl` keyword; its functions
 /// are parsed with the impl's self type and (when present) trait name.
-fn parse_impl(f: &mut SynFile, i: usize, hi: usize, test: bool) -> usize {
+fn parse_impl(f: &mut SynFile, i: usize, hi: usize) -> usize {
     let toks = &f.lexed.tokens;
     let mut j = i + 1;
     if text(toks, j) == "<" {
@@ -479,7 +575,7 @@ fn parse_impl(f: &mut SynFile, i: usize, hi: usize, test: bool) -> usize {
     } else {
         (second.last().cloned(), first.last().cloned())
     };
-    parse_items(f, j + 1, close, test, self_ty.as_deref(), trait_name.as_deref());
+    parse_items(f, j + 1, close, self_ty.as_deref(), trait_name.as_deref());
     close + 1
 }
 
@@ -488,7 +584,6 @@ fn parse_fn(
     f: &mut SynFile,
     i: usize,
     hi: usize,
-    test: bool,
     self_ty: Option<&str>,
     trait_name: Option<&str>,
 ) -> usize {
@@ -545,7 +640,7 @@ fn parse_fn(
         line,
         params,
         returns_guard,
-        is_test: test,
+        is_test: f.test_mask[i],
         body: (k + 1, close),
     });
     close + 1
@@ -676,5 +771,23 @@ mod tests {
         assert!(f.fns.iter().find(|x| x.name == "helper").unwrap().is_test);
         assert!(f.fns.iter().find(|x| x.name == "t").unwrap().is_test);
         assert!(!f.fns.iter().find(|x| x.name == "live").unwrap().is_test);
+    }
+
+    #[test]
+    fn only_attributes_that_imply_test_are_test_only() {
+        let test_only = |attr: &str| {
+            let src = format!("{attr}\nfn f() -> [u8; 2] {{ [0; 2] }}\nfn live() {{}}");
+            let f = parse("crates/x/src/a.rs", &src);
+            assert!(!f.fns[1].is_test, "{attr} leaked past its item");
+            f.fns[0].is_test
+        };
+        assert!(test_only("#[test]"));
+        assert!(test_only("#[cfg(test)]"));
+        assert!(test_only("#[cfg(all(test, feature = \"x\"))]"));
+        assert!(test_only("#[cfg(all(unix, test))]"));
+        assert!(!test_only("#[cfg(not(test))]"));
+        assert!(!test_only("#[cfg(any(test, unix))]"));
+        assert!(!test_only("#[cfg(all(not(test), unix))]"));
+        assert!(!test_only("#[cfg_attr(test, derive(Debug))]"));
     }
 }

@@ -12,8 +12,8 @@ pub struct B {
 
 impl A {
     pub fn forward(&self, b: &B) -> u64 {
-        let g = self.m.lock().expect("m");
-        let h = b.n.lock().expect("n");
+        let g = self.m.lock().unwrap_or_else(PoisonError::into_inner);
+        let h = b.n.lock().unwrap_or_else(PoisonError::into_inner);
         *g + *h
     }
 
@@ -21,7 +21,7 @@ impl A {
         if let Ok(g) = self.m.try_lock() {
             return *g;
         }
-        *self.m.lock().expect("m")
+        *self.m.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -11,16 +11,16 @@ pub struct B {
 
 impl A {
     pub fn forward(&self, b: &B) -> u64 {
-        let g = self.m.lock().expect("m");
-        let h = b.n.lock().expect("n");
+        let g = self.m.lock().unwrap_or_else(PoisonError::into_inner);
+        let h = b.n.lock().unwrap_or_else(PoisonError::into_inner);
         *g + *h
     }
 }
 
 impl B {
     pub fn backward(&self, a: &A) -> u64 {
-        let g = self.n.lock().expect("n");
-        let h = a.m.lock().expect("m");
+        let g = self.n.lock().unwrap_or_else(PoisonError::into_inner);
+        let h = a.m.lock().unwrap_or_else(PoisonError::into_inner);
         *g + *h
     }
 }

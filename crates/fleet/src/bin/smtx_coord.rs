@@ -8,7 +8,7 @@
 use smtx_fleet::{CoordConfig, Placement};
 
 const USAGE: &str = "usage: smtx-coord --node HOST:PORT [--node HOST:PORT ...] \
- [--addr HOST] [--port N] [--placement shard|round-robin|least-loaded] \
+ [--addr HOST] [--port N] [--placement shard|round-robin] \
  [--dispatchers N] [--steal-depth N] [--queue-cap N] [--results-cap N] \
  [--deadline-ms N] [--node-timeout-ms N] [--poll-ms N]";
 

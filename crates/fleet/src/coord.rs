@@ -10,7 +10,7 @@
 //! * **Sharded placement** — each job's home node is a pure function of
 //!   its spec digest ([`home_of`]), so the same spec always lands on the
 //!   same node and re-uses that node's runner caches. `--placement` can
-//!   swap in round-robin or least-loaded placement.
+//!   swap in round-robin placement.
 //! * **Work stealing** — when a job's home node already has
 //!   `steal_depth` jobs outstanding, the job is dispatched to the
 //!   least-loaded alive node instead (counted in `smtx_coord_steals`).
@@ -50,8 +50,6 @@ pub enum Placement {
     /// Rotate through nodes in dispatch order. Store hits do **not**
     /// advance the pointer — a served-from-store job dispatched nothing.
     RoundRobin,
-    /// Always the alive node with the fewest outstanding jobs.
-    LeastLoaded,
 }
 
 impl Placement {
@@ -61,7 +59,6 @@ impl Placement {
         match name {
             "shard" => Some(Placement::Shard),
             "round-robin" => Some(Placement::RoundRobin),
-            "least-loaded" => Some(Placement::LeastLoaded),
             _ => None,
         }
     }
@@ -72,7 +69,6 @@ impl Placement {
         match self {
             Placement::Shard => "shard",
             Placement::RoundRobin => "round-robin",
-            Placement::LeastLoaded => "least-loaded",
         }
     }
 }
@@ -229,7 +225,6 @@ impl Remote {
         match self.config.placement {
             Placement::Shard => home_of(id, self.nodes.len()),
             Placement::RoundRobin => self.rr_next.load(Ordering::Relaxed) % self.nodes.len().max(1),
-            Placement::LeastLoaded => self.least_loaded().unwrap_or(0),
         }
     }
 
@@ -257,7 +252,6 @@ impl Remote {
         let home = match self.config.placement {
             Placement::Shard => home_of(id, n),
             Placement::RoundRobin => self.rr_next.fetch_add(1, Ordering::Relaxed) % n,
-            Placement::LeastLoaded => self.least_loaded()?,
         };
         let node = &self.nodes[home];
         let reserved = node.alive()
@@ -507,7 +501,7 @@ mod tests {
 
     #[test]
     fn placement_names_round_trip() {
-        for p in [Placement::Shard, Placement::RoundRobin, Placement::LeastLoaded] {
+        for p in [Placement::Shard, Placement::RoundRobin] {
             assert_eq!(Placement::from_name(p.name()), Some(p));
         }
         assert_eq!(Placement::from_name("random"), None);
