@@ -9,11 +9,43 @@
 //! The interpreter still models a 64-entry architectural DTLB purely to
 //! *count* misses: that count is the workload-intrinsic "TLB misses" column
 //! of paper Table 2 and the denominator of every penalty-per-miss metric.
+//! As in the detailed machine, a load or store that hits the DTLB uses the
+//! frame the entry holds; only a miss walks the page table.
+//!
+//! # The sweep cache
+//!
+//! It is also the functional fast-forward behind every checkpoint, so
+//! [`Interpreter::run`] keeps a cache that lives for exactly one call:
+//!
+//! * instruction slots predecoded lazily per physical code frame, reached
+//!   through a one-entry memo of the current fetch page's frame;
+//! * a one-entry memo of the most recently used DTLB entry, checked before
+//!   the DTLB. A repeat hit on the most recently used entry cannot change
+//!   the DTLB's LRU order, so skipping the lookup leaves every later
+//!   eviction, and so every miss count, unchanged.
+//!
+//! Within a call the cache follows four rules:
+//!
+//! 1. a store into a predecoded frame drops the slots it overwrote, so
+//!    self-modifying code executes what memory holds;
+//! 2. a store into the space's page-table range drops both frame memos
+//!    (the fetch memo holds a page-table walk; the data memo only mirrors
+//!    a DTLB entry, so dropping it is merely conservative);
+//! 3. a DTLB lookup that bypasses the data memo resets it to the entry
+//!    just looked up or filled;
+//! 4. a misaligned PC is an error before it can index a slot.
+//!
+//! Nothing outlives the call because other code writes the same memory
+//! between calls: the `--check` lockstep oracle steps over the live
+//! machine's memory, and a capture runs several threads' interpreters, one
+//! after another, over one [`PhysMem`]. [`Interpreter::step`] is a
+//! one-instruction `run`, so both go through one execute body.
 
 use std::fmt;
+use std::ops::Range;
 
 use smtx_isa::{Inst, Op};
-use smtx_mem::{AddressSpace, PhysMem, Tlb, VmError, PAGE_SHIFT};
+use smtx_mem::{AddressSpace, PhysMem, Tlb, VmError, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::exec;
 
@@ -32,6 +64,12 @@ pub enum RefError {
         /// Program counter of the malformed word.
         pc: u64,
     },
+    /// The PC is not a multiple of the 4-byte instruction size (a jump
+    /// through a register to a misaligned target).
+    MisalignedFetch {
+        /// The misaligned program counter.
+        pc: u64,
+    },
     /// A user-mode program used a privileged operation.
     PrivilegeViolation {
         /// Program counter of the privileged instruction.
@@ -46,6 +84,9 @@ impl fmt::Display for RefError {
         match self {
             RefError::Vm { pc, source } => write!(f, "memory fault at pc {pc:#x}: {source}"),
             RefError::BadInstruction { pc } => write!(f, "undecodable instruction at pc {pc:#x}"),
+            RefError::MisalignedFetch { pc } => {
+                write!(f, "misaligned instruction fetch at pc {pc:#x}")
+            }
             RefError::PrivilegeViolation { pc, op } => {
                 write!(f, "privileged op `{op}` in user mode at pc {pc:#x}")
             }
@@ -62,6 +103,91 @@ pub struct RunSummary {
     pub retired: u64,
     /// Whether the program executed `HALT`.
     pub halted: bool,
+}
+
+/// Instruction slots per code frame, one per 4-byte word.
+const SLOTS: usize = (PAGE_SIZE / 4) as usize;
+
+/// One physical code frame's predecoded instructions.
+struct CodeFrame {
+    /// The frame's base physical address.
+    base: u64,
+    /// `slots[i]` is the decoded word at `base + 4 * i`, or `None` until it
+    /// is next fetched. Empty until a second instruction is fetched from the
+    /// frame in one call, so a one-instruction `step` never allocates it.
+    slots: Vec<Option<Inst>>,
+}
+
+/// The cache of one [`Interpreter::run`] call (see the module docs).
+struct Sweep {
+    /// Physical range of the running space's page table.
+    pt: Range<u64>,
+    /// Every code frame fetched from in this call.
+    code: Vec<CodeFrame>,
+    /// VPN of the current fetch page and the index of its frame in `code`.
+    fetch: Option<(u64, usize)>,
+    /// VPN and frame of the DTLB's most recently used entry.
+    data: Option<(u64, u64)>,
+}
+
+impl Sweep {
+    fn new(space: &AddressSpace) -> Sweep {
+        Sweep { pt: space.pt_range(), code: Vec::new(), fetch: None, data: None }
+    }
+
+    /// Fetches and decodes the user-mode instruction at `pc`.
+    fn fetch(&mut self, pm: &PhysMem, space: &AddressSpace, pc: u64) -> Result<Inst, RefError> {
+        let vpn = pc >> PAGE_SHIFT;
+        let (idx, repeat) = match self.fetch {
+            Some((v, idx)) if v == vpn => (idx, true),
+            _ => {
+                let pa = space.translate(pm, pc).map_err(|source| RefError::Vm { pc, source })?;
+                let base = pa & !PAGE_MASK;
+                let idx = self.code.iter().position(|c| c.base == base).unwrap_or_else(|| {
+                    self.code.push(CodeFrame { base, slots: Vec::new() });
+                    self.code.len() - 1
+                });
+                self.fetch = Some((vpn, idx));
+                (idx, false)
+            }
+        };
+        if !pc.is_multiple_of(4) {
+            return Err(RefError::MisalignedFetch { pc });
+        }
+        let frame = &mut self.code[idx];
+        let off = pc & PAGE_MASK;
+        let slot = (off / 4) as usize;
+        if let Some(&Some(inst)) = frame.slots.get(slot) {
+            return Ok(inst);
+        }
+        let inst = Inst::decode(pm.read_u32(frame.base | off))
+            .map_err(|_| RefError::BadInstruction { pc })?;
+        if inst.op.is_privileged() {
+            return Err(RefError::PrivilegeViolation { pc, op: inst.op });
+        }
+        if repeat {
+            if frame.slots.is_empty() {
+                frame.slots = vec![None; SLOTS];
+            }
+            frame.slots[slot] = Some(inst);
+        }
+        Ok(inst)
+    }
+
+    /// Applies invalidation rules 1 and 2 to an 8-byte store at `pa`.
+    fn stored(&mut self, pa: u64) {
+        if self.pt.contains(&pa) {
+            self.fetch = None;
+            self.data = None;
+        }
+        let base = pa & !PAGE_MASK;
+        if let Some(frame) = self.code.iter_mut().find(|c| c.base == base) {
+            if !frame.slots.is_empty() {
+                let slot = ((pa & PAGE_MASK) / 4) as usize;
+                frame.slots[slot..slot + 2].fill(None);
+            }
+        }
+    }
 }
 
 /// The architectural interpreter for one thread.
@@ -206,44 +332,80 @@ impl Interpreter {
         }
     }
 
+    /// The physical address of data at `va`: the data memo, else the DTLB,
+    /// else one page-table walk that fills the DTLB.
     fn translate_data(
         &mut self,
+        sweep: &mut Sweep,
         pm: &PhysMem,
         space: &AddressSpace,
         pc: u64,
         va: u64,
     ) -> Result<u64, RefError> {
         let vpn = va >> PAGE_SHIFT;
-        if self.dtlb.lookup(space.asid(), vpn).is_none() {
-            self.dtlb_misses += 1;
-            let pa_page = space
-                .translate(pm, va & !((1 << PAGE_SHIFT) - 1))
-                .map_err(|source| RefError::Vm { pc, source })?;
-            self.dtlb.insert(space.asid(), vpn, pa_page, None);
-        }
-        space.translate(pm, va).map_err(|source| RefError::Vm { pc, source })
+        let frame = match sweep.data {
+            Some((v, frame)) if v == vpn => frame,
+            _ => {
+                let frame = match self.dtlb.lookup(space.asid(), vpn) {
+                    Some(frame) => frame,
+                    None => {
+                        self.dtlb_misses += 1;
+                        let frame = space
+                            .translate(pm, va & !PAGE_MASK)
+                            .map_err(|source| RefError::Vm { pc, source })?;
+                        self.dtlb.insert(space.asid(), vpn, frame, None);
+                        frame
+                    }
+                };
+                sweep.data = Some((vpn, frame));
+                frame
+            }
+        };
+        Ok(frame | (va & PAGE_MASK))
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction: a one-instruction [`Interpreter::run`].
     ///
     /// # Errors
     ///
-    /// Returns a [`RefError`] on memory faults, undecodable words, or
-    /// privileged operations; the interpreter state is left at the faulting
-    /// instruction.
+    /// Returns a [`RefError`] on memory faults, misaligned fetches,
+    /// undecodable words, or privileged operations; the interpreter state is
+    /// left at the faulting instruction.
     pub fn step(&mut self, pm: &mut PhysMem, space: &mut AddressSpace) -> Result<(), RefError> {
-        if self.halted {
-            return Ok(());
-        }
-        let pc = self.pc;
-        let word = space
-            .read_u32(pm, pc)
-            .map_err(|source| RefError::Vm { pc, source })?;
-        let inst = Inst::decode(word).map_err(|_| RefError::BadInstruction { pc })?;
-        if inst.op.is_privileged() {
-            return Err(RefError::PrivilegeViolation { pc, op: inst.op });
-        }
+        self.run(pm, space, 1).map(|_| ())
+    }
 
+    /// Runs up to `max_insts` instructions or until `HALT`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`RefError`] encountered (see
+    /// [`Interpreter::step`]).
+    pub fn run(
+        &mut self,
+        pm: &mut PhysMem,
+        space: &mut AddressSpace,
+        max_insts: u64,
+    ) -> Result<RunSummary, RefError> {
+        let mut sweep = Sweep::new(space);
+        let start = self.retired;
+        while !self.halted && self.retired - start < max_insts {
+            let pc = self.pc;
+            let inst = sweep.fetch(pm, space, pc)?;
+            self.execute(&mut sweep, pm, space, pc, inst)?;
+        }
+        Ok(RunSummary { retired: self.retired - start, halted: self.halted })
+    }
+
+    /// The one execute body: retires `inst`, fetched from `pc`.
+    fn execute(
+        &mut self,
+        sweep: &mut Sweep,
+        pm: &mut PhysMem,
+        space: &AddressSpace,
+        pc: u64,
+        inst: Inst,
+    ) -> Result<(), RefError> {
         let mut next_pc = pc.wrapping_add(4);
         use Op::*;
         match inst.op {
@@ -278,7 +440,7 @@ impl Interpreter {
             }
             Ldq | Fldq => {
                 let va = exec::align8(exec::effective_addr(self.read_int(inst.ra), inst.imm));
-                let pa = self.translate_data(pm, space, pc, va)?;
+                let pa = self.translate_data(sweep, pm, space, pc, va)?;
                 let v = pm.read_u64(pa);
                 if inst.op == Ldq {
                     self.write_int(inst.rb, v);
@@ -288,13 +450,14 @@ impl Interpreter {
             }
             Stq | Fstq => {
                 let va = exec::align8(exec::effective_addr(self.read_int(inst.ra), inst.imm));
-                let pa = self.translate_data(pm, space, pc, va)?;
+                let pa = self.translate_data(sweep, pm, space, pc, va)?;
                 let v = if inst.op == Stq {
                     self.read_int(inst.rb)
                 } else {
                     self.read_fp(inst.rb)
                 };
                 pm.write_u64(pa, v);
+                sweep.stored(pa);
             }
             Beq | Bne | Blt | Bge | Bgt | Ble => {
                 if exec::branch_taken(inst.op, self.read_int(inst.ra)) {
@@ -319,30 +482,12 @@ impl Interpreter {
                 next_pc = pc;
             }
             Mfpr | Mtpr | Tlbwr | Rfe | Hardexc | Mtdst => {
-                unreachable!("privileged ops rejected above")
+                unreachable!("privileged ops are rejected at fetch")
             }
         }
         self.pc = next_pc;
         self.retired += 1;
         Ok(())
-    }
-
-    /// Runs up to `max_insts` instructions or until `HALT`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`RefError`] encountered.
-    pub fn run(
-        &mut self,
-        pm: &mut PhysMem,
-        space: &mut AddressSpace,
-        max_insts: u64,
-    ) -> Result<RunSummary, RefError> {
-        let start = self.retired;
-        while !self.halted && self.retired - start < max_insts {
-            self.step(pm, space)?;
-        }
-        Ok(RunSummary { retired: self.retired - start, halted: self.halted })
     }
 }
 

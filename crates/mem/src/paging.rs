@@ -121,6 +121,13 @@ impl AddressSpace {
         self.pt_base
     }
 
+    /// The physical byte range the linear page table occupies: a store
+    /// into it may change a translation of this space.
+    #[must_use]
+    pub fn pt_range(&self) -> std::ops::Range<Paddr> {
+        self.pt_base..self.pt_base + PT_ENTRIES * 8
+    }
+
     /// The physical address of the PTE covering `va` — the address the
     /// TLB-miss handler computes and loads from.
     ///

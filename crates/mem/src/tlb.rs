@@ -90,12 +90,18 @@ impl Tlb {
     }
 
     /// Looks up a translation, counting the access and updating LRU state.
+    ///
+    /// A hit also moves its entry to the front, so hot entries are found
+    /// after a short scan. Replacement goes by `last_use` alone and no two
+    /// entries share a key, so entry order never changes a result.
     #[must_use]
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<Paddr> {
         self.clock += 1;
         let clock = self.clock;
-        match self.entries.iter_mut().find(|e| e.asid == asid && e.vpn == vpn) {
-            Some(e) => {
+        match self.entries.iter().position(|e| e.asid == asid && e.vpn == vpn) {
+            Some(i) => {
+                self.entries[..=i].rotate_right(1);
+                let e = &mut self.entries[0];
                 e.last_use = clock;
                 self.stats.hits += 1;
                 Some(e.frame)
@@ -204,6 +210,24 @@ mod tests {
         assert_eq!(tlb.probe(1, 1), Some(0x2000));
         assert_eq!(tlb.probe(1, 2), None, "vpn 2 was LRU and must be evicted");
         assert_eq!(tlb.probe(1, 3), Some(0x6000));
+    }
+
+    #[test]
+    fn eviction_follows_last_use_not_entry_position() {
+        let mut tlb = Tlb::new(3);
+        for vpn in 1..=3 {
+            tlb.insert(1, vpn, vpn << 13, None);
+        }
+        for vpn in [3, 1, 2] {
+            assert_eq!(tlb.lookup(1, vpn), Some(vpn << 13));
+        }
+        tlb.insert(1, 4, 4 << 13, None); // evicts vpn 3, the coldest
+        tlb.insert(1, 5, 5 << 13, None); // evicts vpn 1, not the newer vpn 4
+        assert_eq!(tlb.probe(1, 3), None);
+        assert_eq!(tlb.probe(1, 1), None);
+        for vpn in [2, 4, 5] {
+            assert_eq!(tlb.probe(1, vpn), Some(vpn << 13));
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! checkpoint must retire into the *same architectural state* — registers
 //! and the memory image.
 
-use smtx::core::{ExnMechanism, Machine, MachineConfig};
-use smtx::workloads::{load_kernel, Kernel};
+use smtx::core::{Checkpoint, ExnMechanism, Machine, MachineConfig};
+use smtx::workloads::{load_kernel, Kernel, MIXES};
 use smtx_bench::{config_with_idle, make_checkpoint, make_mix_checkpoint, run_restored};
 
 const SEED: u64 = 42;
@@ -145,4 +145,60 @@ fn mix_checkpoint_matches_from_scratch_smt_run() {
             "mix thread {tid}: fast-forwarded state must match from-scratch"
         );
     }
+}
+
+/// Fast-forward distance of the pinned capture gate: deep enough to cross
+/// many code and data pages, cheap enough for a debug build.
+const PINNED_SKIP: u64 = 150_000;
+
+/// Folds everything a restored capture determines into one number: the
+/// physical memory image, then per checkpointed thread its PC, its
+/// address space's virtual image, both register files and the
+/// architectural DTLB misses of the window that follows the capture.
+fn restored_digest(ck: &Checkpoint) -> u64 {
+    let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(4);
+    let mut m = Machine::new(config);
+    m.restore(ck);
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    mix(m.phys().content_hash());
+    for tc in ck.threads() {
+        let (int, fp, space_hash) = arch_state(&m, tc.tid, tc.space);
+        mix(tc.pc);
+        mix(space_hash);
+        int.iter().chain(fp.iter()).for_each(|&r| mix(r));
+        mix(ck.arch_misses_in_window(tc.tid, PINNED_SKIP / 3, None));
+    }
+    hash
+}
+
+/// The interpreter sweep behind every checkpoint is pinned: each kernel's
+/// capture, and one Fig. 7 mix's, restores to exactly this state. Any change
+/// to the interpreter that moves one of these digests changed what it
+/// computes, not just how fast.
+#[test]
+fn pinned_capture_digests() {
+    const PINNED: [(Kernel, u64); 8] = [
+        (Kernel::Alphadoom, 0xfc7f_ec2f_4b8a_04af),
+        (Kernel::Applu, 0x646a_f16b_dd3b_ecd0),
+        (Kernel::Compress, 0xfd1b_55a1_0e1a_ce25),
+        (Kernel::Deltablue, 0x13a5_51b1_2b82_52b6),
+        (Kernel::Gcc, 0x9147_5a65_d1f9_0d0a),
+        (Kernel::Hydro2d, 0x3cc0_b5a9_c6ac_18b0),
+        (Kernel::Murphi, 0x8eae_96f1_4a08_292a),
+        (Kernel::Vortex, 0xf186_2347_b604_7421),
+    ];
+    const PINNED_MIX: u64 = 0xf216_ed59_2a77_1f7c;
+    let got: Vec<(Kernel, u64)> = PINNED
+        .iter()
+        .map(|&(k, _)| (k, restored_digest(&make_checkpoint(k, SEED, PINNED_SKIP))))
+        .collect();
+    let mix = restored_digest(&make_mix_checkpoint(MIXES[0], SEED, PINNED_SKIP));
+    assert_eq!(got, PINNED, "per-kernel capture digests");
+    assert_eq!(mix, PINNED_MIX, "Fig. 7 mix {:?} capture digest", MIXES[0]);
 }
