@@ -96,10 +96,7 @@ fn bench_step_cycle() {
 }
 
 /// Checkpoint mechanics in isolation: one capture at a 20k-instruction
-/// boundary, a restore into a fresh machine, and a four-boundary series
-/// capture. `checkpoint/series_capture_4` against 4× `capture_20k` is the
-/// measured win of sweeping the interpreter once instead of once per
-/// boundary — the pre-pass the interval-parallel engine leans on.
+/// boundary, and restores into fresh machines.
 fn checkpoint_ops() {
     bench("checkpoint/capture_20k", || {
         let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(2);
@@ -120,14 +117,6 @@ fn checkpoint_ops() {
             total += fresh.stats().retired(0);
         }
         total
-    });
-    bench("checkpoint/series_capture_4x20k", || {
-        let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(2);
-        let mut m = Machine::new(config);
-        load_kernel(&mut m, 0, Kernel::Murphi, 42);
-        let series = Checkpoint::capture_series(&m, &[20_000, 40_000, 60_000, 80_000])
-            .expect("series captures");
-        series.iter().map(Checkpoint::approx_bytes).sum::<u64>()
     });
 }
 

@@ -50,7 +50,6 @@ impl Experiment {
                 .with_skip(args.skip)
                 .with_checkpoint_cache(args.checkpoint)
                 .with_idle_skip(args.idle_skip)
-                .with_intervals(args.intervals)
                 .with_check(args.check)
                 .with_trace(args.trace.clone()),
         );
@@ -67,14 +66,12 @@ impl Experiment {
         args.skip = runner.skip();
         args.checkpoint = runner.checkpoint_cache();
         args.idle_skip = runner.idle_skip();
-        args.intervals = runner.intervals();
         args.check = runner.check();
         args.trace = runner.trace_path().map(std::path::Path::to_path_buf);
         let mut report = Report::new(name, args.insts, args.seed, runner.jobs());
         report.skip = args.skip;
         report.checkpoint = args.checkpoint;
         report.idle_skip = args.idle_skip;
-        report.intervals = args.intervals;
         report.check = args.check;
         Experiment { args, runner, report, quiet: false, t0: Instant::now() }
     }
@@ -196,7 +193,6 @@ mod tests {
             skip: 1_000,
             checkpoint: false,
             idle_skip: false,
-            intervals: 4,
             check: true,
             trace: Some("probe.trace".into()),
             ..Args::default()
@@ -206,8 +202,6 @@ mod tests {
         assert_eq!(exp.report.skip, 1_000);
         assert!(!exp.report.checkpoint);
         assert!(!exp.report.idle_skip);
-        assert_eq!(exp.runner.intervals(), 4, "--intervals threads through to the runner");
-        assert_eq!(exp.report.intervals, 4);
         assert!(exp.report.check);
         assert!(exp.runner.check());
         assert_eq!(

@@ -67,66 +67,34 @@ pub fn cycle_cap(insts: u64) -> u64 {
 /// Deterministic epoch length for a measured window of `insts`
 /// instructions: the window splits into at most 16 epochs, but never
 /// shorter than 5000 instructions (below that the per-epoch cold restart
-/// would dominate what the window measures). A window shorter than one
-/// epoch gets no resets at all. Detailed measurements install this
-/// schedule via [`epoch_schedule`] (which gates it on the window being
-/// long enough to repay the resets) through `Machine::set_epoch_len`,
-/// which is what lets
-/// [`plan_boundaries`] cut a run into independently simulatable chunks
-/// whose merged [`smtx_core::Stats`] are integer-identical to the
-/// monolithic run.
+/// would dominate what the window measures). Detailed measurements
+/// install this schedule via [`epoch_schedule`] through
+/// `Machine::set_epoch_len`: every epoch boundary flushes the machine to
+/// the state a fresh restore from a functional checkpoint there would
+/// have. The resets are part of today's model and change rows, so they
+/// stay until a reset-free model replaces them.
 #[must_use]
 pub fn epoch_len(insts: u64) -> u64 {
     insts.div_ceil(16).max(5_000)
 }
 
 /// Smallest measured window that installs the epoch-reset schedule: two
-/// whole epochs at the 5000-instruction floor. The schedule exists to give
-/// [`plan_boundaries`] epoch-aligned cut points, and a window shorter than
-/// two epochs has no interior boundary to cut at — a reset there buys no
-/// parallelism and only costs the detailed machine a cold restart (drained
-/// pipeline, cold caches, cold predictors). Windows at or above the
-/// threshold keep the schedule: A/B timing of the 20k-instruction two-tier
-/// windows showed the resets are wall-clock neutral-to-faster there (the
-/// cold post-reset epochs stall more, and the idle-skip fast path consumes
-/// stalled cycles in O(1)), so only sub-two-epoch windows run monolithic
-/// and reset-free.
+/// whole epochs at the 5000-instruction floor. A shorter window would
+/// reset at most once, paying a cold restart (drained pipeline, cold
+/// caches, cold predictors) for nothing, so it runs reset-free.
 pub const EPOCH_MIN_WINDOW: u64 = 2 * 5_000;
 
 /// The epoch schedule a measured window of `insts` instructions actually
 /// installs: [`epoch_len`]`(insts)` when the window spans at least
-/// [`EPOCH_MIN_WINDOW`] instructions, `None` (no resets, monolithic
-/// simulation) below that. Every production path — `run_kernel`, the
-/// memoized runner, the reference-miss denominator — derives its schedule
-/// from this one function of `insts`, which keeps the detailed machine and
-/// the arch-miss reference in lockstep and keeps `RunKey` (which does not
-/// encode the schedule) a complete cache key.
+/// [`EPOCH_MIN_WINDOW`] instructions, `None` (no resets) below that. Every
+/// production path — `run_kernel`, the memoized runner, the reference-miss
+/// denominator — derives its schedule from this one function of `insts`,
+/// which keeps the detailed machine and the arch-miss reference in
+/// lockstep and keeps `RunKey` (which does not encode the schedule) a
+/// complete cache key.
 #[must_use]
 pub fn epoch_schedule(insts: u64) -> Option<u64> {
     (insts >= EPOCH_MIN_WINDOW).then(|| epoch_len(insts))
-}
-
-/// Plans the interior chunk boundaries of an interval-parallel run:
-/// `intervals` is clamped to the number of whole epochs in the window, the
-/// boundaries are whole-epoch multiples spread as evenly as integer
-/// arithmetic allows, and all lie strictly inside `(0, insts)` — the final
-/// chunk absorbs any partial trailing epoch. Aligning every boundary to
-/// the epoch schedule is what makes the cut exact: the machine's
-/// deterministic epoch reset fires at each boundary anyway, so a chunk
-/// started from that boundary's functional checkpoint sees precisely the
-/// state the monolithic run had there.
-#[must_use]
-pub fn plan_boundaries(insts: u64, intervals: u64, epoch: u64) -> Vec<u64> {
-    let epochs = insts / epoch;
-    let n = intervals.clamp(1, epochs.max(1));
-    let mut out = Vec::new();
-    for j in 1..n {
-        let b = epoch * (j * epochs / n);
-        if b > *out.last().unwrap_or(&0) && b < insts {
-            out.push(b);
-        }
-    }
-    out
 }
 
 /// Result of one measured run.
@@ -231,24 +199,6 @@ pub fn make_checkpoint(kernel: Kernel, seed: u64, skip: u64) -> Checkpoint {
         .unwrap_or_else(|e| panic!("{} fast-forward failed: {e}", kernel.name()))
 }
 
-/// Builds the tier-1 checkpoint *series* for one kernel: one functional
-/// sweep snapshots the architectural state at every ascending boundary
-/// (absolute instruction counts). Element `i` equals
-/// [`make_checkpoint`]`(kernel, seed, boundaries[i])`, at the cost of one
-/// sweep instead of one per boundary — the interval-parallel engine's
-/// amortized pre-pass.
-///
-/// # Panics
-///
-/// Panics if the kernel faults or halts inside the fast-forward.
-#[must_use]
-pub fn make_checkpoint_series(kernel: Kernel, seed: u64, boundaries: &[u64]) -> Vec<Checkpoint> {
-    let mut m = capture_machine(2);
-    load_kernel(&mut m, 0, kernel, seed);
-    Checkpoint::capture_series(&m, boundaries)
-        .unwrap_or_else(|e| panic!("{} series fast-forward failed: {e}", kernel.name()))
-}
-
 /// Builds the fast-forward checkpoint for a Fig. 7 mix (three kernels on
 /// threads 0–2, thread `tid` seeded with `seed + tid`).
 ///
@@ -289,75 +239,6 @@ pub fn run_restored(
     let stats = m.stats().clone();
     assert_eq!(stats.retired(0), insts, "restored run did not finish");
     let arch_misses = ck.arch_misses_in_window(0, insts, epoch_schedule(insts));
-    RunResult { cycles: stats.cycles, retired: insts, arch_misses, stats }
-}
-
-/// Runs the detailed window of one interval chunk on a machine already
-/// positioned at the chunk's start boundary (freshly loaded, or restored
-/// from that boundary's functional checkpoint) with the epoch schedule
-/// installed. Interior chunks carry no budget: the run stops on the
-/// boundary retirement, right after the machine's own epoch reset fired
-/// there, so the discarded post-chunk state is exactly what the next
-/// chunk's fresh restore recreates. The final chunk runs under a budget to
-/// the ordinary freeze.
-pub fn run_interval_chunk(m: &mut Machine, chunk_insts: u64, is_last: bool, max_cycles: u64) {
-    if is_last {
-        m.set_budget(0, chunk_insts);
-        m.run(max_cycles);
-    } else {
-        m.run_until_retired(0, chunk_insts, max_cycles);
-    }
-}
-
-/// Interval semantics, serially: splits `insts` at [`plan_boundaries`],
-/// captures the boundary checkpoints in one functional sweep, simulates
-/// each chunk on a fresh machine, and merges the per-chunk
-/// [`smtx_core::Stats`] in order. The merged result is field-for-field
-/// identical to the monolithic run for every `intervals` value — the
-/// exactness property the parallel engine in [`runner`] relies on.
-/// `epoch` is explicit so tests can shrink it; production paths pass
-/// [`epoch_len`]`(insts)`.
-///
-/// # Panics
-///
-/// Panics if any chunk fails to retire its share within the cycle cap.
-#[must_use]
-pub fn run_kernel_intervals(
-    kernel: Kernel,
-    seed: u64,
-    insts: u64,
-    config: &MachineConfig,
-    intervals: u64,
-    epoch: u64,
-) -> RunResult {
-    let bounds = plan_boundaries(insts, intervals, epoch);
-    let series = if bounds.is_empty() {
-        Vec::new()
-    } else {
-        make_checkpoint_series(kernel, seed, &bounds)
-    };
-    let mut merged: Option<smtx_core::Stats> = None;
-    let mut start = 0u64;
-    for (i, b) in bounds.iter().copied().chain(std::iter::once(insts)).enumerate() {
-        let chunk = b - start;
-        let mut m = Machine::new(config.clone());
-        if i == 0 {
-            load_kernel(&mut m, 0, kernel, seed);
-        } else {
-            m.restore(&series[i - 1]);
-        }
-        m.set_epoch_len(Some(epoch));
-        run_interval_chunk(&mut m, chunk, b == insts, cycle_cap(insts));
-        let stats = m.stats();
-        assert_eq!(stats.retired(0), chunk, "{} interval chunk did not finish", kernel.name());
-        match &mut merged {
-            Some(acc) => acc.merge(stats),
-            None => merged = Some(stats.clone()),
-        }
-        start = b;
-    }
-    let stats = merged.expect("the window has at least one chunk");
-    let arch_misses = arch_misses_with_epoch(kernel, seed, insts, Some(epoch));
     RunResult { cycles: stats.cycles, retired: insts, arch_misses, stats }
 }
 
@@ -462,11 +343,9 @@ pub struct Args {
     /// Tier-2 idle-cycle skipping in the detailed core (`--idle-skip
     /// on|off`, default on). Bit-identical rows either way.
     pub idle_skip: bool,
-    /// Interval-parallel chunk count (`--intervals`, default 1 =
-    /// monolithic). A pure scheduling knob: the run is cut at epoch-aligned
-    /// boundaries and the chunks simulated concurrently, but the merged
-    /// rows are byte-identical for every value, so it never enters the
-    /// config digest or any cache key.
+    /// Always 1; no flag sets it. Kept only because the `perfbench`
+    /// harness still passes it to `Runner::with_intervals`.
+    #[doc(hidden)]
     pub intervals: u64,
     /// The `--check on|off` pipeline sanitizer (default off): every
     /// simulated machine runs the lockstep architectural oracle and the
@@ -506,8 +385,8 @@ impl Default for Args {
 
 /// Parses the experiment flags from argv: `--insts N`, `--seed N`,
 /// `--jobs N`, `--skip N`, `--checkpoint on|off`, `--idle-skip on|off`,
-/// `--intervals N`, `--check on|off`, `--json PATH`, `--trace PATH` and
-/// `--program FILE.s` (repeatable).
+/// `--check on|off`, `--json PATH`, `--trace PATH` and `--program FILE.s`
+/// (repeatable).
 /// Unknown or malformed arguments abort with a usage
 /// message — a silently ignored typo (`--inst 500000`) would otherwise run
 /// the full default-budget experiment and report it as the requested one.
@@ -519,8 +398,8 @@ pub fn parse_args() -> Args {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: <experiment> [--insts N] [--seed N] [--jobs N] [--skip N] \
-                 [--checkpoint on|off] [--idle-skip on|off] [--intervals N] [--check on|off] \
-                 [--json PATH] [--trace PATH] [--program FILE.s]..."
+                 [--checkpoint on|off] [--idle-skip on|off] [--check on|off] [--json PATH] \
+                 [--trace PATH] [--program FILE.s]..."
             );
             std::process::exit(2);
         }
@@ -561,14 +440,6 @@ pub fn parse_arg_list<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, S
             }
             "--idle-skip" => {
                 args.idle_skip = parse_on_off("--idle-skip", &value_for("--idle-skip")?)?;
-            }
-            "--intervals" => {
-                args.intervals = value_for("--intervals")?
-                    .parse()
-                    .map_err(|e| format!("--intervals: {e}"))?;
-                if args.intervals == 0 {
-                    return Err("--intervals: must be at least 1".to_string());
-                }
             }
             "--check" => {
                 args.check = parse_on_off("--check", &value_for("--check")?)?;
@@ -639,7 +510,7 @@ mod tests {
     fn parse_arg_list_accepts_all_flags() {
         let argv = [
             "--insts", "5000", "--seed", "7", "--jobs", "3", "--skip", "20000",
-            "--checkpoint", "off", "--idle-skip", "off", "--intervals", "8", "--check", "on",
+            "--checkpoint", "off", "--idle-skip", "off", "--check", "on",
             "--json", "out.json", "--trace", "out.bin",
         ]
         .iter()
@@ -651,7 +522,6 @@ mod tests {
         assert_eq!(args.skip, 20_000);
         assert!(!args.checkpoint);
         assert!(!args.idle_skip);
-        assert_eq!(args.intervals, 8);
         assert!(args.check);
         assert_eq!(args.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert_eq!(args.trace.as_deref(), Some(std::path::Path::new("out.bin")));
@@ -663,7 +533,6 @@ mod tests {
         assert_eq!(args.skip, 0);
         assert!(args.checkpoint, "checkpoint reuse is the default");
         assert!(args.idle_skip, "idle-cycle skipping is the default");
-        assert_eq!(args.intervals, 1, "monolithic simulation is the default");
         assert!(!args.check, "the sanitizer is opt-in");
     }
 
@@ -684,32 +553,13 @@ mod tests {
         assert!(parse_arg_list(["--idle-skip".to_string(), "1".to_string()])
             .unwrap_err()
             .contains("--idle-skip"));
-        assert!(parse_arg_list(["--intervals".to_string(), "0".to_string()])
-            .unwrap_err()
-            .contains("--intervals"));
     }
 
     #[test]
-    fn boundary_plan_is_epoch_aligned_and_interior() {
-        // 8 whole epochs of 500 in a 4000-instruction window.
-        assert_eq!(plan_boundaries(4_000, 1, 500), Vec::<u64>::new());
-        assert_eq!(plan_boundaries(4_000, 2, 500), vec![2_000]);
-        assert_eq!(
-            plan_boundaries(4_000, 7, 500),
-            vec![500, 1_000, 1_500, 2_000, 2_500, 3_000]
-        );
-        // Requests past the epoch count clamp to one chunk per epoch.
-        assert_eq!(
-            plan_boundaries(4_000, 16, 500),
-            vec![500, 1_000, 1_500, 2_000, 2_500, 3_000, 3_500]
-        );
-        // A non-dividing window leaves the partial epoch to the final chunk.
-        assert_eq!(plan_boundaries(4_300, 16, 500), plan_boundaries(4_000, 16, 500));
-        // A window shorter than one epoch cannot be cut.
-        assert_eq!(plan_boundaries(3_000, 8, 5_000), Vec::<u64>::new());
-        for b in plan_boundaries(100_000, 4, epoch_len(100_000)) {
-            assert_eq!(b % epoch_len(100_000), 0);
-            assert!(b > 0 && b < 100_000);
-        }
+    fn short_windows_get_no_epoch_schedule() {
+        assert_eq!(epoch_schedule(EPOCH_MIN_WINDOW - 1), None);
+        assert_eq!(epoch_schedule(EPOCH_MIN_WINDOW), Some(5_000));
+        assert_eq!(epoch_schedule(96_000), Some(6_000), "at most 16 epochs per window");
+        assert_eq!(epoch_schedule(20_000), Some(5_000), "never shorter than 5000");
     }
 }

@@ -27,9 +27,6 @@ pub struct Report {
     pub checkpoint: bool,
     /// Whether tier-2 idle-cycle skipping was enabled.
     pub idle_skip: bool,
-    /// Interval-parallel chunk count (1 = monolithic). Scheduling only —
-    /// the rows are identical for every value.
-    pub intervals: u64,
     /// Whether the `--check` pipeline sanitizer was enabled.
     pub check: bool,
     /// Wall-clock for the whole experiment.
@@ -75,7 +72,6 @@ impl Report {
         s.push_str(&format!("  \"skip\": {},\n", self.skip));
         s.push_str(&format!("  \"checkpoint\": {},\n", self.checkpoint));
         s.push_str(&format!("  \"idle_skip\": {},\n", self.idle_skip));
-        s.push_str(&format!("  \"intervals\": {},\n", self.intervals.max(1)));
         s.push_str(&format!("  \"check\": {},\n", self.check));
         s.push_str(&format!("  \"wall_ms\": {},\n", json_f64(self.wall.as_secs_f64() * 1e3)));
         s.push_str(&runner_stats_json(&self.runner, 2));

@@ -30,13 +30,9 @@ use smtx_util::ShardMap;
 use smtx_workloads::{load_kernel, Kernel};
 
 use crate::{
-    cycle_cap, epoch_schedule, make_checkpoint, make_checkpoint_series, make_mix_checkpoint,
-    plan_boundaries, probe_insts, run_interval_chunk, scale_budget, RunResult,
+    cycle_cap, epoch_schedule, make_checkpoint, make_mix_checkpoint, probe_insts, scale_budget,
+    RunResult,
 };
-
-/// One simulated chunk: its instruction count, its stats, and — when the
-/// run was traced — its raw event segment.
-type ChunkResult = (u64, Stats, Option<Vec<TraceEvent>>);
 
 /// Identity of one unique simulation: everything that influences the
 /// resulting [`smtx_core::Stats`].
@@ -169,9 +165,9 @@ pub fn hist_quantile_ms(buckets: &[u64; 8], pct: u64) -> Option<u64> {
 }
 
 /// Default cap on the approximate resident bytes of cached fast-forward
-/// checkpoints (1 GiB). Interval-parallel runs multiply the checkpoint
-/// count by the boundary count, so the cache is LRU-bounded by size
-/// instead of growing with every boundary ever captured.
+/// checkpoints (1 GiB). A long-running service (`smtxd`) caches one
+/// checkpoint per `(workload, seed, skip)` it has ever served, so the cache
+/// is LRU-bounded by size instead of growing with every request.
 pub const DEFAULT_CHECKPOINT_CAP_BYTES: u64 = 1 << 30;
 
 /// Cache-effectiveness counters (all monotonic).
@@ -225,13 +221,6 @@ pub struct Runner {
     /// Observation-only (rows stay bit-identical) but any violation panics
     /// the run — a checked experiment must be clean or die loudly.
     check: bool,
-    /// Interval-parallel chunk count for single-kernel runs
-    /// (`--intervals`): the measurement window is cut at epoch-aligned
-    /// boundaries and the chunks simulated concurrently from their
-    /// boundary checkpoints. A pure scheduling knob — it enters no cache
-    /// key and no config digest, and the merged stats are bit-identical
-    /// for every value (CI diffs the rows).
-    intervals: u64,
     // Lock-sharded hash maps: workers hash-select one of 16 shard locks,
     // so concurrent lookups rarely collide, and lookups clone the value
     // out so no lock is held across caller work. `no-unordered-iteration`
@@ -303,7 +292,6 @@ impl Runner {
             use_checkpoints: true,
             idle_skip: true,
             check: false,
-            intervals: 1,
             sims: ShardMap::new(HIST_BOUNDS_MS),
             refs: ShardMap::new(HIST_BOUNDS_MS),
             mixes: ShardMap::new(HIST_BOUNDS_MS),
@@ -346,11 +334,16 @@ impl Runner {
         self
     }
 
-    /// Sets the interval-parallel chunk count for single-kernel runs
-    /// (`--intervals`, clamped to at least 1). Mix runs are never cut.
+    /// Accepts only 1 and changes nothing: every run is one monolithic
+    /// simulation. Kept only because the `perfbench` harness still calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `intervals` is not 1.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_intervals(mut self, intervals: u64) -> Runner {
-        self.intervals = intervals.max(1);
+    pub fn with_intervals(self, intervals: u64) -> Runner {
+        assert_eq!(intervals, 1, "interval-parallel simulation was removed");
         self
     }
 
@@ -384,12 +377,6 @@ impl Runner {
     #[must_use]
     pub fn idle_skip(&self) -> bool {
         self.idle_skip
-    }
-
-    /// The configured interval-parallel chunk count.
-    #[must_use]
-    pub fn intervals(&self) -> u64 {
-        self.intervals
     }
 
     /// Sets (or clears) the binary trace capture destination (`--trace
@@ -455,20 +442,17 @@ impl Runner {
     /// Panics if the trace file cannot be written — a requested trace that
     /// silently vanishes would be worse than a dead experiment.
     fn append_trace(&self, marker: TraceEvent, m: &mut Machine) {
-        if self.trace_path.is_none() {
-            return;
+        if self.trace_path.is_some() {
+            let events = m.take_tracer().expect("tracer was attached").take_events();
+            self.append_segment(marker, events);
         }
-        let events = m.take_tracer().expect("tracer was attached").take_events();
-        self.append_segment(marker, events);
     }
 
     /// Appends one already-collected event segment (prefixed with
-    /// `marker`) to the trace file. Interval-parallel runs call this once
-    /// per chunk, in chunk order, so a cut run's segments are stitched in
-    /// the order the monolithic run would have produced them.
+    /// `marker`) to the trace file.
     // lint:allow(no-lock-across-io): the trace-file lock exists precisely to
-    // serialize whole-segment appends — chunk-order stitching requires each
-    // segment's bytes to land contiguously, so the write happens under it.
+    // serialize whole-segment appends — each segment's bytes must land
+    // contiguously, so the write happens under it.
     fn append_segment(&self, marker: TraceEvent, mut events: Vec<TraceEvent>) {
         let Some(path) = &self.trace_path else { return };
         events.insert(0, marker);
@@ -537,31 +521,6 @@ impl Runner {
                     }
                 };
             });
-            // Interval runs also need each boundary's checkpoint; one
-            // series sweep per (kernel, seed, schedule) beforehand stops
-            // concurrent sims of the same workload racing to duplicate it.
-            if self.intervals > 1 {
-                let mut specs = Vec::new();
-                let mut spec_seen = std::collections::BTreeSet::new();
-                for job in &pending {
-                    if let Job::Sim { kernel, seed, insts, .. } = job {
-                        let bounds: Vec<u64> = epoch_schedule(*insts)
-                            .map(|e| plan_boundaries(*insts, self.intervals, e))
-                            .unwrap_or_default()
-                            .into_iter()
-                            .map(|b| self.skip + b)
-                            .collect();
-                        if !bounds.is_empty() && spec_seen.insert((*kernel, *seed, bounds.clone()))
-                        {
-                            specs.push((*kernel, *seed, bounds));
-                        }
-                    }
-                }
-                self.for_each_parallel(specs.len(), |i| {
-                    let (kernel, seed, bounds) = &specs[i];
-                    let _ = self.checkpoint_series(*kernel, *seed, bounds);
-                });
-            }
         }
         self.for_each_parallel(pending.len(), |i| self.execute(&pending[i]));
     }
@@ -623,40 +582,6 @@ impl Runner {
             return ck;
         }
         self.cache_checkpoint(key, ck)
-    }
-
-    /// The (possibly cached) boundary-checkpoint series of an
-    /// interval-parallel run: one entry per absolute fast-forward length in
-    /// `bounds` (strictly ascending, all positive). A full hit returns
-    /// without touching the interpreter; any miss re-captures the whole
-    /// series in one functional sweep and caches every boundary
-    /// individually — under the same key shape as ordinary `--skip`
-    /// checkpoints, so a later monolithic run at a boundary's skip reuses a
-    /// series entry and vice versa.
-    fn checkpoint_series(&self, kernel: Kernel, seed: u64, bounds: &[u64]) -> Vec<Arc<Checkpoint>> {
-        let keys: Vec<CkKey> = bounds.iter().map(|&b| CkKey::Single(kernel, seed, b)).collect();
-        if self.use_checkpoints {
-            let hits: Option<Vec<Arc<Checkpoint>>> =
-                keys.iter().map(|k| self.checkpoints.get(k)).collect();
-            if let Some(hits) = hits {
-                self.ck_hits.fetch_add(keys.len() as u64, Ordering::Relaxed);
-                for k in &keys {
-                    self.touch_checkpoint(k);
-                }
-                return hits;
-            }
-        }
-        let t0 = Instant::now();
-        let series = make_checkpoint_series(kernel, seed, bounds);
-        record_ms(&self.ck_ms, t0);
-        let arcs: Vec<Arc<Checkpoint>> = series.into_iter().map(Arc::new).collect();
-        if !self.use_checkpoints {
-            return arcs;
-        }
-        keys.into_iter()
-            .zip(&arcs)
-            .map(|(key, ck)| self.cache_checkpoint(key, Arc::clone(ck)))
-            .collect()
     }
 
     /// Inserts `ck` under `key` (first writer wins), charging its frozen
@@ -736,31 +661,14 @@ impl Runner {
         }
     }
 
-    /// Memoized [`crate::run_kernel`]: runs `kernel` under `config` with
-    /// the runner's configured interval count, serving repeats of the same
-    /// [`RunKey`] from the cache.
+    /// Memoized [`crate::run_kernel`]: runs `kernel` under `config`,
+    /// serving repeats of the same [`RunKey`] from the cache.
     pub fn run(
         &self,
         kernel: Kernel,
         seed: u64,
         insts: u64,
         config: &MachineConfig,
-    ) -> Arc<RunResult> {
-        self.run_with_intervals(kernel, seed, insts, config, self.intervals)
-    }
-
-    /// [`Runner::run`] with an explicit interval count. `intervals` is a
-    /// pure scheduling knob: it is not part of the [`RunKey`], and the
-    /// merged stats are bit-identical for every value, so a cached
-    /// monolithic result legitimately serves an interval request and vice
-    /// versa (CI's interval-exactness matrix holds that gate).
-    pub fn run_with_intervals(
-        &self,
-        kernel: Kernel,
-        seed: u64,
-        insts: u64,
-        config: &MachineConfig,
-        intervals: u64,
     ) -> Arc<RunResult> {
         let key = RunKey { kernel, seed, insts, config_digest: config.digest() };
         // The probe clones the Arc out and drops its shard lock before
@@ -773,28 +681,19 @@ impl Runner {
         // Compute outside the lock; a concurrent duplicate (only possible
         // when callers race past prefetch) wastes work but, the simulator
         // being deterministic, never changes the cached value.
-        let segments =
-            self.simulate_chunks(kernel, seed, insts, config, intervals, self.trace_path.is_some());
-        let mut merged: Option<Stats> = None;
-        for (chunk_insts, stats, events) in segments {
-            if let Some(events) = events {
-                self.append_segment(
-                    TraceEvent::RunStart {
-                        kernel: kernel_code(kernel),
-                        seed,
-                        insts: chunk_insts,
-                        digest: key.config_digest,
-                    },
-                    events,
-                );
-            }
-            match &mut merged {
-                Some(acc) => acc.merge(&stats),
-                None => merged = Some(stats),
-            }
+        let (stats, events) =
+            self.simulate(kernel, seed, insts, config, self.trace_path.is_some());
+        if let Some(events) = events {
+            self.append_segment(
+                TraceEvent::RunStart {
+                    kernel: kernel_code(kernel),
+                    seed,
+                    insts,
+                    digest: key.config_digest,
+                },
+                events,
+            );
         }
-        let stats = merged.expect("the window has at least one chunk");
-        assert_eq!(stats.retired(0), insts, "{} did not finish", kernel.name());
         let arch_misses = self.arch_misses(kernel, seed, insts);
         let result = Arc::new(RunResult {
             cycles: stats.cycles,
@@ -812,75 +711,43 @@ impl Runner {
         })
     }
 
-    /// The chunked simulation engine behind every single-kernel run: cuts
-    /// the window at [`plan_boundaries`] (one chunk — the monolithic case —
-    /// when `intervals` is 1 or [`epoch_schedule`] declines the window),
-    /// simulates the chunks concurrently across the worker pool (each from
-    /// its boundary checkpoint, with the epoch schedule installed), and
-    /// returns each chunk's length, stats, and — when `trace` — its raw
-    /// event segment, in chunk order.
-    fn simulate_chunks(
+    /// The one single-kernel simulation behind [`Runner::run`] and
+    /// [`Runner::run_traced`]: load the kernel or restore its fast-forward
+    /// checkpoint, install the window's [`epoch_schedule`], and run the
+    /// budget to its freeze. Returns the stats and, when `trace`, the event
+    /// segment. The machine is dropped here, before the caller's reference
+    /// run or trace encoding, so neither adds to its peak memory.
+    fn simulate(
         &self,
         kernel: Kernel,
         seed: u64,
         insts: u64,
         config: &MachineConfig,
-        intervals: u64,
         trace: bool,
-    ) -> Vec<ChunkResult> {
-        let epoch = epoch_schedule(insts);
-        let mut cuts = vec![0u64];
-        if let Some(e) = epoch {
-            cuts.extend(plan_boundaries(insts, intervals, e));
-        }
-        cuts.push(insts);
-        let n = cuts.len() - 1;
-        let series = if n > 1 {
-            let abs: Vec<u64> = cuts[1..n].iter().map(|&c| self.skip + c).collect();
-            self.checkpoint_series(kernel, seed, &abs)
-        } else {
-            Vec::new()
-        };
-        let slots: Vec<Mutex<Option<ChunkResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    ) -> (Stats, Option<Vec<TraceEvent>>) {
         let t0 = Instant::now();
-        self.for_each_parallel(n, |i| {
-            let chunk = cuts[i + 1] - cuts[i];
-            let mut m = Machine::new(config.clone());
-            m.set_idle_skip(self.idle_skip);
-            if self.check {
-                m.set_check(Some(CheckConfig::default()));
-            }
-            if trace {
-                m.set_tracer(Some(Box::new(VecSink::default())));
-            }
-            if i == 0 {
-                if self.skip == 0 && !self.use_checkpoints {
-                    load_kernel(&mut m, 0, kernel, seed);
-                } else {
-                    let ck = self.checkpoint_single(kernel, seed);
-                    m.restore(&ck);
-                }
-            } else {
-                m.restore(&series[i - 1]);
-            }
-            m.set_epoch_len(epoch);
-            run_interval_chunk(&mut m, chunk, i == n - 1, cycle_cap(insts));
-            self.assert_check_clean(&m, &format!("{} seed {seed} chunk {i}", kernel.name()));
-            assert_eq!(
-                m.stats().retired(0),
-                chunk,
-                "{} chunk {i} did not finish",
-                kernel.name()
-            );
-            let events =
-                trace.then(|| m.take_tracer().expect("tracer attached above").take_events());
-            *slots[i].lock().expect("chunk slot") = Some((chunk, m.stats().clone(), events));
-        });
+        let mut m = Machine::new(config.clone());
+        m.set_idle_skip(self.idle_skip);
+        if self.check {
+            m.set_check(Some(CheckConfig::default()));
+        }
+        if trace {
+            m.set_tracer(Some(Box::new(VecSink::default())));
+        }
+        if self.skip == 0 && !self.use_checkpoints {
+            load_kernel(&mut m, 0, kernel, seed);
+        } else {
+            let ck = self.checkpoint_single(kernel, seed);
+            m.restore(&ck);
+        }
+        m.set_epoch_len(epoch_schedule(insts));
+        m.set_budget(0, insts);
+        m.run(cycle_cap(insts));
         record_ms(&self.sim_ms, t0);
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("chunk slot").expect("chunk simulated"))
-            .collect()
+        self.assert_check_clean(&m, &format!("{} seed {seed}", kernel.name()));
+        assert_eq!(m.stats().retired(0), insts, "{} did not finish", kernel.name());
+        let events = trace.then(|| m.take_tracer().expect("tracer attached above").take_events());
+        (m.stats().clone(), events)
     }
 
     /// Runs one kernel point with an in-memory tracer attached and returns
@@ -902,39 +769,12 @@ impl Runner {
         insts: u64,
         config: &MachineConfig,
     ) -> Vec<u8> {
-        self.run_traced_with_intervals(kernel, seed, insts, config, self.intervals)
-    }
-
-    /// [`Runner::run_traced`] with an explicit interval count: the encoded
-    /// file carries one `RunStart`-prefixed segment per chunk, stitched in
-    /// chunk order (a monolithic run is the familiar single-segment file).
-    #[must_use]
-    pub fn run_traced_with_intervals(
-        &self,
-        kernel: Kernel,
-        seed: u64,
-        insts: u64,
-        config: &MachineConfig,
-        intervals: u64,
-    ) -> Vec<u8> {
-        let segments = self.simulate_chunks(kernel, seed, insts, config, intervals, true);
+        let (_, events) = self.simulate(kernel, seed, insts, config, true);
+        let mut events = events.expect("the run was traced");
+        let digest = config.digest();
+        events.insert(0, TraceEvent::RunStart { kernel: kernel_code(kernel), seed, insts, digest });
         let mut out = codec::MAGIC.to_vec();
-        let mut retired = 0u64;
-        for (chunk_insts, stats, events) in segments {
-            retired += stats.retired(0);
-            let mut events = events.expect("chunks were traced");
-            events.insert(
-                0,
-                TraceEvent::RunStart {
-                    kernel: kernel_code(kernel),
-                    seed,
-                    insts: chunk_insts,
-                    digest: config.digest(),
-                },
-            );
-            out.extend_from_slice(&codec::encode_body(&events));
-        }
-        assert_eq!(retired, insts, "{} did not finish", kernel.name());
+        out.extend_from_slice(&codec::encode_body(&events));
         out
     }
 

@@ -128,89 +128,6 @@ impl Checkpoint {
         Ok(ck)
     }
 
-    /// Captures a *series* of checkpoints at ascending instruction
-    /// `boundaries` in one interpreter sweep: each thread is fast-forwarded
-    /// segment by segment, and the architectural state is snapshotted at
-    /// every boundary. Element `i` of the result is exactly what
-    /// [`Checkpoint::capture`] with `skip == boundaries[i]` produces (the
-    /// snapshots share copy-on-write memory pages, so the series costs one
-    /// sweep plus the pages that differ between boundaries) — this is the
-    /// interval-parallel engine's amortized pre-pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the interpreter's [`RefError`] if a thread faults during the
-    /// fast-forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine has already run, if `boundaries` is not
-    /// strictly ascending and positive, or if a thread halts before the
-    /// last boundary.
-    pub fn capture_series(
-        machine: &Machine,
-        boundaries: &[u64],
-    ) -> Result<Vec<Checkpoint>, RefError> {
-        assert_eq!(
-            machine.cycle, 0,
-            "capture requires a freshly loaded machine (cycle 0)"
-        );
-        assert!(
-            machine.window.is_empty() && machine.next_seq == 0,
-            "capture requires a machine with no in-flight instructions"
-        );
-        let mut pm = machine.pm.clone();
-        let mut spaces = machine.spaces.clone();
-        let mut interps: Vec<(usize, usize, Interpreter)> = machine
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.state == ThreadState::Run)
-            .map(|(tid, t)| {
-                let space = t.space.expect("running thread has a space");
-                (tid, space, Interpreter::from_state(t.fetch_pc, t.int_regs, t.fp_regs))
-            })
-            .collect();
-        let mut out = Vec::with_capacity(boundaries.len());
-        let mut pos = 0u64;
-        for &b in boundaries {
-            assert!(b > pos, "series boundaries must be strictly ascending and positive");
-            let step = b - pos;
-            for (tid, space, interp) in &mut interps {
-                let summary = interp.run(&mut pm, &mut spaces[*space], step).map_err(|e| {
-                    eprintln!("series fast-forward failed on thread {tid}: {e}");
-                    e
-                })?;
-                assert_eq!(
-                    summary.retired, step,
-                    "thread {tid} halted before boundary {b}; cannot fast-forward"
-                );
-            }
-            pos = b;
-            out.push(Checkpoint {
-                skip: b,
-                pm: pm.clone(),
-                alloc: machine.alloc.clone(),
-                spaces: spaces.clone(),
-                pal_base: machine.pal_base,
-                pal_len: machine.pal_len,
-                emul_base: machine.emul_base,
-                emul_len: machine.emul_len,
-                threads: interps
-                    .iter()
-                    .map(|(tid, space, interp)| ThreadCheckpoint {
-                        tid: *tid,
-                        space: *space,
-                        pc: interp.pc(),
-                        int_regs: *interp.int_regs(),
-                        fp_regs: *interp.fp_regs(),
-                    })
-                    .collect(),
-            });
-        }
-        Ok(out)
-    }
-
     /// Instructions each thread was fast-forwarded by.
     #[must_use]
     pub fn skip(&self) -> u64 {

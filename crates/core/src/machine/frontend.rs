@@ -60,6 +60,15 @@ impl Machine {
             }
             let pc = self.threads[tid].fetch_pc;
             let pal = self.threads[tid].fetch_pal;
+            if !pc.is_multiple_of(4) {
+                // A misaligned target (a register jump to a bad address):
+                // no instruction lives there, so stop until something
+                // redirects this thread. On the correct path nothing ever
+                // does, and the thread retires no further — the reference
+                // interpreter's `MisalignedFetch` at the same PC.
+                self.threads[tid].fetch_stopped = true;
+                break;
+            }
 
             // Resolve the fetch address. PAL code is physically addressed;
             // user code translates through the page table (perfect ITLB).

@@ -154,9 +154,7 @@ pub struct Machine {
     /// in-flight state is squashed and all microarchitectural state
     /// (predictors, DTLB, caches, shadow/privileged registers) is flushed,
     /// making the post-reset machine exactly equivalent to a fresh machine
-    /// restored from a functional checkpoint at that boundary. This is the
-    /// exactness foundation of interval-parallel simulation: per-interval
-    /// `Stats` sum to the monolithic run's field-for-field. Like
+    /// restored from a functional checkpoint at that boundary. Like
     /// `idle_skip`, the epoch schedule is a property of *how* a run is
     /// executed, set by the bench layer from the instruction budget — but
     /// unlike `idle_skip` it changes simulated behavior, so the bench layer
@@ -494,8 +492,7 @@ impl Machine {
     /// machine squashes all in-flight work and flushes all
     /// microarchitectural state, making the post-reset state exactly what a
     /// fresh machine restored from a functional checkpoint at that boundary
-    /// would simulate. See the `epoch_len` field for the exactness
-    /// contract.
+    /// would simulate. See the `epoch_len` field for what a reset flushes.
     ///
     /// # Panics
     ///
@@ -520,21 +517,8 @@ impl Machine {
     /// next cycle at which anything can happen, with accounting identical
     /// to ticking through them.
     pub fn run(&mut self, max_cycles: u64) -> &Stats {
-        self.run_until_retired(0, u64::MAX, max_cycles)
-    }
-
-    /// Runs like [`Machine::run`], but also stops once context `tid` has
-    /// retired `target` user instructions *without* freezing it — the
-    /// interior-interval primitive of interval-parallel simulation: with an
-    /// epoch schedule whose boundaries include `target`, the machine's own
-    /// epoch reset fires at the boundary retirement, the remainder of that
-    /// cycle is inert, and the loop exits with the thread still runnable,
-    /// leaving `stats` exactly the prefix a monolithic run accumulates up
-    /// to and including the boundary cycle.
-    pub fn run_until_retired(&mut self, tid: usize, target: u64, max_cycles: u64) -> &Stats {
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline
-            && self.threads[tid].retired_user < target
             && self
                 .threads
                 .iter()
@@ -940,8 +924,7 @@ impl Machine {
         // (caches, TLB), which a restored machine starts cold. The memory
         // system's fill timestamps are compared only against the current
         // cycle, so a fresh one behaves at cycle `c + k` exactly as a fresh
-        // one at cycle `k` — offset invariance, which the interval
-        // exactness tests pin down.
+        // one at cycle `k`.
         self.events.clear();
         self.pending_issue.clear();
         self.ready_seqs.clear();

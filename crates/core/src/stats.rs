@@ -83,52 +83,6 @@ impl Stats {
         self.threads.iter().map(|t| t.retired_user).sum()
     }
 
-    /// Folds the statistics of `other` — a run *continuing* this one from
-    /// the cycle where it stopped — into `self`. Counters add; cycle
-    /// stamps in `other` are local to its own run, so `finished_at` is
-    /// offset by the cycles already accumulated here. With deterministic
-    /// epoch resets, summing per-interval stats chunk-by-chunk in order
-    /// reproduces the monolithic run's stats field-for-field (integer
-    /// arithmetic only; the interval-exactness suite holds the identity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two runs have different context counts.
-    pub fn merge(&mut self, other: &Stats) {
-        assert_eq!(
-            self.threads.len(),
-            other.threads.len(),
-            "merging stats from different machine shapes"
-        );
-        let offset = self.cycles;
-        self.cycles += other.cycles;
-        for (a, b) in self.threads.iter_mut().zip(other.threads.iter()) {
-            a.retired_user += b.retired_user;
-            a.retired_pal += b.retired_pal;
-            if let Some(f) = b.finished_at {
-                a.finished_at = Some(offset + f);
-            }
-            a.tlb_miss_insts_retired += b.tlb_miss_insts_retired;
-            a.mispredicts += b.mispredicts;
-        }
-        self.fills_committed += other.fills_committed;
-        self.traps += other.traps;
-        self.handlers_spawned += other.handlers_spawned;
-        self.reverted_no_thread += other.reverted_no_thread;
-        self.handlers_squashed += other.handlers_squashed;
-        self.relinks += other.relinks;
-        self.secondary_misses += other.secondary_misses;
-        self.hard_exceptions += other.hard_exceptions;
-        self.deadlock_squashes += other.deadlock_squashes;
-        self.walks_started += other.walks_started;
-        self.emulations_spawned += other.emulations_spawned;
-        self.emulations_committed += other.emulations_committed;
-        self.squashed_insts += other.squashed_insts;
-        self.handler_active_cycles += other.handler_active_cycles;
-        self.fetched += other.fetched;
-        self.issued += other.issued;
-    }
-
     /// User-mode IPC across all contexts.
     #[must_use]
     // lint:allow(no-float-in-model): derived display-only metric computed
@@ -160,39 +114,5 @@ mod tests {
     #[test]
     fn zero_cycles_ipc_is_zero() {
         assert_eq!(Stats::new(1).ipc(), 0.0);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_offsets_finish_stamps() {
-        let mut a = Stats::new(2);
-        a.cycles = 100;
-        a.threads[0].retired_user = 40;
-        a.threads[0].mispredicts = 3;
-        a.fills_committed = 5;
-        a.squashed_insts = 7;
-        let mut b = Stats::new(2);
-        b.cycles = 60;
-        b.threads[0].retired_user = 10;
-        b.threads[0].finished_at = Some(59);
-        b.threads[1].retired_pal = 4;
-        b.fills_committed = 2;
-        b.handler_active_cycles = 11;
-        a.merge(&b);
-        assert_eq!(a.cycles, 160);
-        assert_eq!(a.threads[0].retired_user, 50);
-        assert_eq!(a.threads[0].finished_at, Some(159));
-        assert_eq!(a.threads[0].mispredicts, 3);
-        assert_eq!(a.threads[1].retired_pal, 4);
-        assert_eq!(a.threads[1].finished_at, None);
-        assert_eq!(a.fills_committed, 7);
-        assert_eq!(a.squashed_insts, 7);
-        assert_eq!(a.handler_active_cycles, 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "different machine shapes")]
-    fn merge_rejects_mismatched_thread_counts() {
-        let mut a = Stats::new(2);
-        a.merge(&Stats::new(3));
     }
 }

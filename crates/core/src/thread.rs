@@ -48,9 +48,8 @@ pub struct ThreadContext {
 
     /// Committed architectural PC: the address of the next *user*
     /// instruction to execute, updated at every user-mode retirement.
-    /// This is where fetch resumes after an epoch reset (interval-parallel
-    /// exactness), mirroring the PC a functional checkpoint at the same
-    /// retirement boundary would record.
+    /// This is where fetch resumes after an epoch reset, mirroring the PC a
+    /// functional checkpoint at the same retirement boundary would record.
     pub arch_pc: u64,
 
     // ---- fetch control ----

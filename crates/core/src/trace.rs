@@ -35,11 +35,9 @@ pub enum SquashCause {
     /// The thread halted (budget reached or `HALT` retired); nothing is
     /// refetched.
     Freeze,
-    /// A deterministic epoch reset (interval-parallel exactness): every
-    /// in-flight instruction on every context is squashed and all
-    /// microarchitectural state is flushed, so simulation is resumable
-    /// from a functional checkpoint at the boundary. Fetch resumes at the
-    /// committed architectural PC.
+    /// A deterministic epoch reset: every in-flight instruction on every
+    /// context is squashed and all microarchitectural state is flushed.
+    /// Fetch resumes at the committed architectural PC.
     Epoch,
 }
 

@@ -3,7 +3,10 @@
 //! interpreter's architectural results, with the paper's qualitative
 //! performance ordering.
 
-use smtx_core::{ExnMechanism, Interpreter, LimitKnobs, Machine, MachineConfig, ThreadState};
+use smtx_core::{
+    ExnMechanism, Interpreter, LimitKnobs, Machine, MachineConfig, RefError, RunSummary,
+    ThreadState,
+};
 use smtx_isa::{PrivReg, Program, ProgramBuilder, Reg};
 use smtx_mem::{AddressSpace, PhysAlloc, PhysMem, PAGE_SIZE};
 
@@ -81,6 +84,17 @@ fn machine_with(program: &Program, mechanism: ExnMechanism, pages: u64) -> Machi
 
 /// Runs the same program + data on the reference interpreter.
 fn reference(program: &Program, pages: u64, max: u64) -> Interpreter {
+    let (interp, ended) = reference_ending(program, pages, max);
+    ended.expect("reference runs clean");
+    interp
+}
+
+/// [`reference`], also returning how the run ended.
+fn reference_ending(
+    program: &Program,
+    pages: u64,
+    max: u64,
+) -> (Interpreter, Result<RunSummary, RefError>) {
     let mut pm = PhysMem::new();
     let mut alloc = PhysAlloc::new();
     let mut space = AddressSpace::new(1, &mut pm, &mut alloc);
@@ -91,8 +105,8 @@ fn reference(program: &Program, pages: u64, max: u64) -> Interpreter {
     }
     setup_data(&mut space, &mut pm, &mut alloc, pages);
     let mut interp = Interpreter::new(program.base());
-    interp.run(&mut pm, &mut space, max).expect("reference runs clean");
-    interp
+    let ended = interp.run(&mut pm, &mut space, max);
+    (interp, ended)
 }
 
 fn run_and_check(mechanism: ExnMechanism, pages: u64, reps: u64) -> smtx_core::Stats {
@@ -373,4 +387,31 @@ fn calls_and_returns_through_the_pipeline() {
     m.run(100_000);
     assert_eq!(m.thread_state(0), ThreadState::Halted);
     assert_eq!(m.int_regs(0)[1], 70);
+}
+
+/// A register jump to a misaligned target stops that thread's fetch rather
+/// than panicking the fetch unit: the machine retires exactly what the
+/// reference interpreter retires before its `MisalignedFetch`, and the
+/// committed jump target is the reference's faulting PC.
+#[test]
+fn misaligned_jump_target_stops_fetch() {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), smtx_isa::DEFAULT_CODE_BASE + 6);
+    b.jr(Reg(1));
+    b.halt();
+    let program = b.build().unwrap();
+    let (r, ended) = reference_ending(&program, 0, u64::MAX);
+    let Err(RefError::MisalignedFetch { pc }) = ended else {
+        panic!("the reference must stop on the misaligned fetch, got {ended:?}");
+    };
+    assert_eq!(r.pc(), pc);
+
+    let mut m = machine_with(&program, ExnMechanism::Multithreaded, 0);
+    m.enable_retire_log();
+    m.run(100_000);
+    assert_eq!(m.stats().retired(0), r.retired(), "retired up to the bad fetch");
+    assert_eq!(m.int_regs(0)[1], pc, "committed jump target is the faulting pc");
+    let last = m.retire_log().unwrap().iter().rfind(|e| e.tid == 0 && !e.pal).unwrap();
+    assert_eq!(last.pc, program.base() + 4 * (r.retired() - 1), "the jump retired last");
+    assert_eq!(m.thread_state(0), ThreadState::Run, "stalled, not halted");
 }

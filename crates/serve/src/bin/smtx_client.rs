@@ -24,7 +24,7 @@ use smtx_serve::json::{quote, Json};
 const USAGE: &str = "usage: smtx-client [--addr HOST:PORT] [--retries N] [--backoff-ms B] <command>
   submit (--experiment NAME | --kernel NAME [--mechanism M] [--idle N])
          [--insts N] [--seed N] [--check on|off] [--trace on|off]
-         [--intervals N] [--deadline-ms N] [--wait] [--out PATH]
+         [--deadline-ms N] [--wait] [--out PATH]
          (--trace on captures a binary event trace, kernel runs only;
           download it from GET /v1/jobs/<id>/trace once the job is done)
   batch --file PATH [--deadline-ms N]
@@ -118,7 +118,6 @@ struct Submit {
     seed: Option<u64>,
     check: Option<bool>,
     trace: Option<bool>,
-    intervals: Option<u64>,
     deadline_ms: Option<u64>,
     wait: bool,
     out: Option<String>,
@@ -134,7 +133,6 @@ fn parse_submit(mut it: impl Iterator<Item = String>) -> Submit {
         seed: None,
         check: None,
         trace: None,
-        intervals: None,
         deadline_ms: None,
         wait: false,
         out: None,
@@ -166,9 +164,6 @@ fn parse_submit(mut it: impl Iterator<Item = String>) -> Submit {
                     "off" => false,
                     other => die(&format!("--trace: expected `on` or `off`, got `{other}`")),
                 });
-            }
-            "--intervals" => {
-                s.intervals = Some(num("--intervals", value_for("--intervals")));
             }
             "--deadline-ms" => {
                 s.deadline_ms = Some(num("--deadline-ms", value_for("--deadline-ms")));
@@ -209,9 +204,6 @@ fn submit_body(s: &Submit) -> String {
     }
     if let Some(t) = s.trace {
         fields.push(format!("\"trace\": {t}"));
-    }
-    if let Some(n) = s.intervals {
-        fields.push(format!("\"intervals\": {n}"));
     }
     if let Some(d) = s.deadline_ms {
         fields.push(format!("\"deadline_ms\": {d}"));

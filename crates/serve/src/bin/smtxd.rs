@@ -7,8 +7,7 @@ use smtx_serve::{server, ServiceConfig};
 
 const USAGE: &str = "usage: smtxd [--addr HOST] [--port N] [--workers N] [--runner-jobs N] \
  [--queue-cap N] [--results-cap N] [--deadline-ms N] [--skip N] \
- [--checkpoint on|off] [--idle-skip on|off] [--intervals N] [--check on|off] \
- [--asm DIR]";
+ [--checkpoint on|off] [--idle-skip on|off] [--check on|off] [--asm DIR]";
 
 struct Opts {
     addr: String,
@@ -65,9 +64,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
             "--idle-skip" => {
                 opts.config.idle_skip = on_off("--idle-skip", &value_for("--idle-skip")?)?;
             }
-            "--intervals" => {
-                opts.config.intervals = num("--intervals", &value_for("--intervals")?)?;
-            }
             "--check" => {
                 opts.config.check = on_off("--check", &value_for("--check")?)?;
             }
@@ -80,9 +76,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
     }
     if opts.config.queue_cap == 0 {
         return Err("--queue-cap must be at least 1".to_string());
-    }
-    if opts.config.intervals == 0 {
-        return Err("--intervals must be at least 1".to_string());
     }
     Ok(opts)
 }

@@ -49,9 +49,6 @@ pub struct ServiceConfig {
     pub checkpoint: bool,
     /// Whether the shared runner skips idle cycles (tier 2).
     pub idle_skip: bool,
-    /// Interval-parallel chunk count for the shared runner (1 =
-    /// monolithic). Pure scheduling: rows are identical for every value.
-    pub intervals: u64,
     /// Default for jobs that do not say: run under the `--check` pipeline
     /// sanitizer (observation-only; rows stay byte-identical).
     pub check: bool,
@@ -68,7 +65,6 @@ impl Default for ServiceConfig {
             skip: 0,
             checkpoint: true,
             idle_skip: true,
-            intervals: 1,
             check: false,
         }
     }
@@ -106,9 +102,6 @@ pub enum JobSpec {
         /// Capture a cycle-level binary trace of the run (`None` = off).
         /// Served from the result store via `GET /v1/jobs/<id>/trace`.
         trace: Option<bool>,
-        /// Interval-parallel chunk count (`None` = the daemon default).
-        /// Scheduling only — the result is identical for every value.
-        intervals: Option<u64>,
     },
 }
 
@@ -119,7 +112,7 @@ pub const MAX_INSTS: u64 = 50_000_000;
 
 /// Every key a submission body may carry; anything else is a 400, so a
 /// misspelt key cannot silently fall back to a default.
-const SPEC_KEYS: [&str; 10] = [
+const SPEC_KEYS: [&str; 9] = [
     "experiment",
     "kernel",
     "insts",
@@ -128,7 +121,6 @@ const SPEC_KEYS: [&str; 10] = [
     "idle",
     "check",
     "trace",
-    "intervals",
     "deadline_ms",
 ];
 
@@ -160,28 +152,12 @@ impl JobSpec {
             None => None,
             Some(b) => Some(b.as_bool().ok_or("`trace` must be a boolean")?),
         };
-        let intervals = match v.get("intervals") {
-            None => None,
-            Some(n) => {
-                let n = n.as_u64().ok_or("`intervals` must be a positive integer")?;
-                if !(1..=64).contains(&n) {
-                    return Err("`intervals` must be in 1..=64".to_string());
-                }
-                Some(n)
-            }
-        };
         match (v.get("experiment"), v.get("kernel")) {
             (Some(_), Some(_)) => Err("give `experiment` or `kernel`, not both".to_string()),
             (None, None) => Err("missing `experiment` or `kernel`".to_string()),
             (Some(e), None) => {
                 if trace == Some(true) {
                     return Err("trace capture is only supported for kernel runs".to_string());
-                }
-                if intervals.is_some() {
-                    return Err(
-                        "`intervals` is only supported for kernel runs (experiments use the daemon default)"
-                            .to_string(),
-                    );
                 }
                 let name = e.as_str().ok_or("`experiment` must be a string")?;
                 if !figures::ALL.contains(&name) {
@@ -219,7 +195,7 @@ impl JobSpec {
                 if idle > 7 {
                     return Err("`idle` must be at most 7".to_string());
                 }
-                Ok(JobSpec::Run { kernel, seed, insts, mechanism, idle, check, trace, intervals })
+                Ok(JobSpec::Run { kernel, seed, insts, mechanism, idle, check, trace })
             }
         }
     }
@@ -254,9 +230,6 @@ impl JobSpec {
         if let Some(c) = self.check() {
             put("check", Json::Bool(c));
         }
-        if let Some(n) = self.intervals() {
-            put("intervals", Json::num_u64(n));
-        }
         Json::Obj(m)
     }
 
@@ -273,7 +246,7 @@ impl JobSpec {
                 h.write_u64(*seed);
                 h.write(Self::check_tag(*check));
             }
-            JobSpec::Run { kernel, seed, insts, mechanism, idle, check, trace, intervals } => {
+            JobSpec::Run { kernel, seed, insts, mechanism, idle, check, trace } => {
                 h.write(b"run");
                 h.write(kernel.name().as_bytes());
                 h.write_u64(*seed);
@@ -282,14 +255,6 @@ impl JobSpec {
                 h.write_usize(*idle);
                 h.write(Self::check_tag(*check));
                 h.write(Self::trace_tag(*trace));
-                // Same idiom as `check_tag`: absent keeps historical ids.
-                // An *explicit* interval count is a distinct job — the rows
-                // are identical but the cache counters and wall clock in
-                // the stored report describe a differently-scheduled run.
-                if let Some(n) = intervals {
-                    h.write(b"intervals:");
-                    h.write_u64(*n);
-                }
             }
         }
         format!("{:016x}", h.finish())
@@ -331,15 +296,6 @@ impl JobSpec {
         }
     }
 
-    /// The job's interval-count request (`None` = use the daemon default).
-    #[must_use]
-    pub fn intervals(&self) -> Option<u64> {
-        match self {
-            JobSpec::Experiment { .. } => None,
-            JobSpec::Run { intervals, .. } => *intervals,
-        }
-    }
-
     /// Human-readable one-liner for status payloads and logs.
     #[must_use]
     pub fn describe(&self) -> String {
@@ -358,9 +314,6 @@ impl JobSpec {
         }
         if self.trace() {
             s.push_str(" trace=on");
-        }
-        if let Some(n) = self.intervals() {
-            s.push_str(&format!(" intervals={n}"));
         }
         s
     }
@@ -831,7 +784,6 @@ impl Local {
                     .with_skip(config.skip)
                     .with_checkpoint_cache(config.checkpoint)
                     .with_idle_skip(config.idle_skip)
-                    .with_intervals(config.intervals)
                     .with_check(check),
             )
         };
@@ -857,12 +809,9 @@ impl Local {
             JobSpec::Run { kernel, seed, insts, mechanism, idle, .. } => {
                 let args = Args { insts: *insts, seed: *seed, ..Args::default() };
                 let mut exp = Experiment::on_runner("run", args, Arc::clone(runner)).quiet();
-                let intervals = spec.intervals().unwrap_or_else(|| exp.runner.intervals());
-                exp.args.intervals = intervals;
-                exp.report.intervals = intervals;
                 let cfg = config_with_idle(*mechanism, *idle);
                 let insts = exp.runner.insts_for(*kernel, *seed, *insts);
-                let run = exp.runner.run_with_intervals(*kernel, *seed, insts, &cfg, intervals);
+                let run = exp.runner.run(*kernel, *seed, insts, &cfg);
                 let penalty = if *mechanism == ExnMechanism::PerfectTlb {
                     0.0
                 } else {
@@ -878,9 +827,8 @@ impl Local {
                 // Traced runs re-simulate with the tracer attached — the
                 // memoized result above may have come from the cache, which
                 // holds no events. Determinism makes the re-run identical.
-                let trace = spec.trace().then(|| {
-                    exp.runner.run_traced_with_intervals(*kernel, *seed, insts, &cfg, intervals)
-                });
+                let trace =
+                    spec.trace().then(|| exp.runner.run_traced(*kernel, *seed, insts, &cfg));
                 (exp.into_report().to_json(), trace)
             }
         }
@@ -931,8 +879,7 @@ mod tests {
                 mechanism: ExnMechanism::Traditional,
                 idle: 1,
                 check: None,
-                trace: None,
-                intervals: None
+                trace: None
             }
         );
         let s = parse(r#"{"experiment": "fig5", "check": true}"#).unwrap();
@@ -941,19 +888,12 @@ mod tests {
         let s = parse(r#"{"kernel": "compress", "trace": true}"#).unwrap();
         assert!(s.trace());
         assert!(s.describe().ends_with("trace=on"));
-        let s = parse(r#"{"kernel": "compress", "intervals": 8}"#).unwrap();
-        assert_eq!(s.intervals(), Some(8));
-        assert!(s.describe().ends_with("intervals=8"));
         assert!(parse(r#"{"kernel": "gcc", "deadline_ms": 5}"#).is_ok());
         for bad in [
             r#"{}"#,
             r#"{"experiment": "fig9"}"#,
             r#"{"experiment": "fig5", "trace": true}"#,
-            r#"{"experiment": "fig5", "intervals": 8}"#,
             r#"{"kernel": "compress", "trace": "yes"}"#,
-            r#"{"kernel": "compress", "intervals": 0}"#,
-            r#"{"kernel": "compress", "intervals": 65}"#,
-            r#"{"kernel": "compress", "intervals": "four"}"#,
             r#"{"experiment": "fig5", "kernel": "gcc"}"#,
             r#"{"kernel": "spice"}"#,
             r#"{"kernel": "gcc", "mechanism": "magic"}"#,
@@ -970,23 +910,39 @@ mod tests {
     }
 
     #[test]
+    fn intervals_is_an_unknown_key() {
+        let err = parse(r#"{"kernel":"compress","intervals":4}"#).unwrap_err();
+        assert!(err.starts_with("unknown key `intervals`"), "{err}");
+    }
+
+    /// Ids are the dedup key nodes, coordinators and clients share, so
+    /// their encoding is pinned: a change would orphan every stored result.
+    #[test]
+    fn job_ids_are_pinned() {
+        for (body, id) in [
+            (r#"{"kernel": "compress", "insts": 5000}"#, "445e65f2f5e2120a"),
+            (r#"{"kernel": "gcc", "mechanism": "hardware", "trace": true}"#, "efa2d5e2a8a599cf"),
+            (r#"{"experiment": "fig5", "insts": 30000, "check": true}"#, "56fa06afd5015d59"),
+        ] {
+            assert_eq!(parse(body).unwrap().id(), id, "{body}");
+        }
+    }
+
+    #[test]
     fn to_json_round_trips_every_variant() {
         let mut specs = Vec::new();
         for check in [None, Some(true), Some(false)] {
             specs.push(JobSpec::Experiment { name: "table2".into(), insts: 3_000, seed: 7, check });
             for trace in [None, Some(true), Some(false)] {
-                for intervals in [None, Some(1), Some(8)] {
-                    specs.push(JobSpec::Run {
-                        kernel: Kernel::Gcc,
-                        seed: u64::MAX,
-                        insts: 1_000,
-                        mechanism: ExnMechanism::QuickStart,
-                        idle: 3,
-                        check,
-                        trace,
-                        intervals,
-                    });
-                }
+                specs.push(JobSpec::Run {
+                    kernel: Kernel::Gcc,
+                    seed: u64::MAX,
+                    insts: 1_000,
+                    mechanism: ExnMechanism::QuickStart,
+                    idle: 3,
+                    check,
+                    trace,
+                });
             }
         }
         for s in specs {
@@ -1027,8 +983,6 @@ mod tests {
         let plain = parse(r#"{"kernel": "compress", "insts": 5000}"#).unwrap();
         let traced = parse(r#"{"kernel": "compress", "insts": 5000, "trace": true}"#).unwrap();
         assert_ne!(plain.id(), traced.id(), "a traced job is a distinct job");
-        let cut = parse(r#"{"kernel": "compress", "insts": 5000, "intervals": 4}"#).unwrap();
-        assert_ne!(plain.id(), cut.id(), "an explicit interval count is a distinct job");
     }
 
     /// An executor answering from a script, counting what the table tells it.
@@ -1195,30 +1149,6 @@ mod tests {
         assert_eq!(c.get("check").and_then(Json::as_bool), Some(true));
         assert_eq!(p.get("rows"), c.get("rows"), "checking must not perturb rows");
         assert_eq!(p.get("columns"), c.get("columns"));
-    }
-
-    #[test]
-    fn interval_job_routes_through_and_keeps_rows_identical() {
-        let svc = Local::new(&ServiceConfig { runner_jobs: 2, ..ServiceConfig::default() });
-        // 8k instructions sit below `EPOCH_MIN_WINDOW`, so both requests
-        // run monolithically; what this checks is the per-job `intervals`
-        // plumbing — the count is echoed in the report without perturbing
-        // rows (real splits are covered by bench's interval_exactness).
-        let (plain, _) = svc.run(
-            &parse(r#"{"kernel": "compress", "insts": 8000, "mechanism": "multithreaded"}"#)
-                .unwrap(),
-        );
-        let (cut, _) = svc.run(
-            &parse(
-                r#"{"kernel": "compress", "insts": 8000, "mechanism": "multithreaded", "intervals": 4}"#,
-            )
-            .unwrap(),
-        );
-        let p = Json::parse(&plain).expect("plain report");
-        let c = Json::parse(&cut).expect("interval report");
-        assert_eq!(p.get("rows"), c.get("rows"), "interval scheduling must not perturb rows");
-        assert_eq!(p.get("intervals").and_then(Json::as_u64), Some(1));
-        assert_eq!(c.get("intervals").and_then(Json::as_u64), Some(4));
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn every_program_halts_in_a_real_window() {
         let insts = k.halting_insts().expect("asm kernels halt");
         assert!(
             insts >= 80_000,
-            "{}: {insts} retired — too short for the interval/skip matrix",
+            "{}: {insts} retired — too short for the skip matrix",
             k.name()
         );
         assert!(insts <= 5_000_000, "{}: {insts} retired — too slow for CI", k.name());

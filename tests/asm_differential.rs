@@ -7,10 +7,9 @@
 //!    mechanisms, and the committed state (integer registers, FP registers,
 //!    the full memory image) must equal the reference interpreter's.
 //! 2. **Mode matrix** — a program's stats row must be *byte-identical*
-//!    whether the runner checks against the reference (`--check`), cuts the
-//!    window into interval chunks (`--intervals 8`), or records a trace;
-//!    and a fast-forwarded window (`--skip`) must land exactly on `HALT`
-//!    with the same invariances.
+//!    whether or not the runner checks against the reference (`--check`)
+//!    or records a trace; and a fast-forwarded window (`--skip`) must land
+//!    exactly on `HALT` with the same invariance under `--check`.
 
 use std::path::Path;
 
@@ -87,8 +86,6 @@ fn mode_matrix(kernel: Kernel, deep: bool) {
     let base = Runner::new(1).run(kernel, SEED, insts, &cfg);
     let checked = Runner::new(1).with_check(true).run(kernel, SEED, insts, &cfg);
     assert_same_row(&base, &checked, name, "--check");
-    let chunked = Runner::new(1).with_intervals(8).run(kernel, SEED, insts, &cfg);
-    assert_same_row(&base, &chunked, name, "--intervals 8");
 
     if deep {
         let trace = Path::new(env!("CARGO_TARGET_TMPDIR"))
@@ -103,17 +100,13 @@ fn mode_matrix(kernel: Kernel, deep: bool) {
         let _ = std::fs::remove_file(&trace);
 
         // A skipped window is a *different* (shorter) window, so it gets its
-        // own baseline; the invariance under chunking + checking must hold
-        // there too, and the budget must land exactly on HALT.
+        // own baseline; the invariance under checking must hold there too,
+        // and the budget must land exactly on HALT.
         let skip = insts / 3;
         let window = insts - skip;
         let s1 = Runner::new(1).with_skip(skip).run(kernel, SEED, window, &cfg);
-        let s2 = Runner::new(1)
-            .with_skip(skip)
-            .with_intervals(8)
-            .with_check(true)
-            .run(kernel, SEED, window, &cfg);
-        assert_same_row(&s1, &s2, name, "--skip + --intervals 8 + --check");
+        let s2 = Runner::new(1).with_skip(skip).with_check(true).run(kernel, SEED, window, &cfg);
+        assert_same_row(&s1, &s2, name, "--skip + --check");
         assert_eq!(s1.retired, window, "{name}: skipped window must end at HALT");
     }
 }

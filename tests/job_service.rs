@@ -145,10 +145,13 @@ fn unknown_spec_keys_are_rejected_by_name() {
     let node = server::start("127.0.0.1:0", one_worker()).expect("node");
     let coord = coord_over(&node);
     let typo = r#"{"kernel": "compress", "insts": 1000, "mechansim": "traditional"}"#;
+    let retired = r#"{"kernel": "compress", "intervals": 4}"#;
     for addr in [node.addr().to_string(), coord.addr().to_string()] {
-        let (s, b) = post(&addr, "/v1/jobs", typo);
-        assert_eq!(s, 400, "{addr}: {b}");
-        assert!(b.contains("mechansim"), "the error must name the key: {b}");
+        for (body, key) in [(typo, "mechansim"), (retired, "intervals")] {
+            let (s, b) = post(&addr, "/v1/jobs", body);
+            assert_eq!(s, 400, "{addr}: {b}");
+            assert!(b.contains(key), "the error must name the key: {b}");
+        }
     }
     coord.shutdown_and_join();
     node.shutdown_and_join();

@@ -12,7 +12,7 @@
 use smtx_bench::{
     config_with_idle, epoch_schedule, figures, insts_for, make_checkpoint, penalty_per_miss,
     penalty_table_for, probe_insts, run_restored, runner::perfect_of, scale_budget, Args,
-    Experiment, Job, Runner,
+    Experiment, Job, Runner, EPOCH_MIN_WINDOW,
 };
 use smtx_core::{ExnMechanism, MachineConfig};
 use smtx_workloads::Kernel;
@@ -172,5 +172,72 @@ fn fig5_work_counts_are_exact_and_job_count_independent() {
             "fig5 --insts 500 --skip 20000 work counts at --jobs {jobs} \
              (unique_runs, cache_hits, checkpoint_hits, sim_cycles, checkpoint_bytes)"
         );
+    }
+}
+
+/// No scheduling knob changes a row, at a window where epoch resets fire:
+/// `EPOCH_MIN_WINDOW` instructions behind a fast-forward, so one reset
+/// lands mid-window. `--jobs`, `--checkpoint`, `--idle-skip`, `--check` and
+/// `--trace` must each reproduce the default runner's stats and
+/// architectural miss counts, and `run_traced`'s trace must decode into one
+/// segment that accounts for the same cycles, fetches and handler time.
+#[test]
+fn scheduling_knobs_never_change_a_reset_active_row() {
+    const SKIP: u64 = 20_000;
+    let insts = EPOCH_MIN_WINDOW;
+    assert!(epoch_schedule(insts).is_some_and(|e| e < insts), "a reset fires in the window");
+    let points: Vec<(Kernel, MachineConfig)> = [Kernel::Compress, Kernel::Murphi]
+        .into_iter()
+        .flat_map(|k| {
+            [ExnMechanism::Traditional, ExnMechanism::Multithreaded]
+                .map(|mech| (k, config_with_idle(mech, 1)))
+        })
+        .collect();
+    let jobs = || -> Vec<Job> {
+        points
+            .iter()
+            .map(|(kernel, config)| Job::Sim {
+                kernel: *kernel,
+                seed: SEED,
+                insts,
+                config: config.clone(),
+            })
+            .collect()
+    };
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("knobs.trace");
+    let base = Runner::new(1).with_skip(SKIP);
+    base.prefetch(jobs());
+    let variants = [
+        ("--jobs 2", Runner::new(2).with_skip(SKIP)),
+        ("--checkpoint off", Runner::new(1).with_skip(SKIP).with_checkpoint_cache(false)),
+        ("--idle-skip off", Runner::new(1).with_skip(SKIP).with_idle_skip(false)),
+        ("--check on", Runner::new(1).with_skip(SKIP).with_check(true)),
+        ("--trace", Runner::new(1).with_skip(SKIP).with_trace(Some(trace.clone()))),
+    ];
+    for (knob, runner) in &variants {
+        runner.prefetch(jobs());
+        for (kernel, config) in &points {
+            let a = base.run(*kernel, SEED, insts, config);
+            let b = runner.run(*kernel, SEED, insts, config);
+            assert_eq!(a.stats, b.stats, "{} under {knob}", kernel.name());
+            assert_eq!(a.arch_misses, b.arch_misses, "{} arch misses under {knob}", kernel.name());
+        }
+    }
+    let written = std::fs::read(&trace).expect("--trace wrote a file");
+    let _ = std::fs::remove_file(&trace);
+    let segments = smtx_trace::analyze(&smtx_trace::codec::decode(&written).expect("decodes"));
+    assert_eq!(segments.len(), points.len(), "one segment per unique run");
+
+    for (kernel, config) in &points {
+        let a = base.run(*kernel, SEED, insts, config);
+        let bytes = base.run_traced(*kernel, SEED, insts, config);
+        let events = smtx_trace::codec::decode(&bytes).expect("run_traced decodes");
+        let [seg] = smtx_trace::analyze(&events)[..] else {
+            panic!("{}: run_traced must hold exactly one segment", kernel.name());
+        };
+        assert_eq!(seg.run.map(|r| r.insts), Some(insts));
+        assert_eq!(seg.end_cycle, a.stats.cycles, "{} traced cycles", kernel.name());
+        assert_eq!(seg.counts.fetch, a.stats.fetched, "{} traced fetches", kernel.name());
+        assert_eq!(seg.spliced_occupancy, a.stats.handler_active_cycles, "{}", kernel.name());
     }
 }
