@@ -16,8 +16,9 @@
 //!   capacity and the handler reservation rule at every insertion.
 //! * **Structural conservation** — rob/window agreement, rename-map
 //!   entries pointing at live same-thread producers, handler bookkeeping,
-//!   and the wake-list (`ready_seqs`/`pending_issue`) superset invariant,
-//!   promoted from a `debug_assert!` to structured reports.
+//!   the wake-list (`ready_seqs`/`pending_issue`) superset invariant,
+//!   promoted from a `debug_assert!` to structured reports, and the
+//!   parked-load invariant that every load parked behind a store will wake.
 //!
 //! The checker is strictly observation-only: it never mutates simulated
 //! state (its oracle writes memory values the machine's own retirement
@@ -36,6 +37,7 @@ use crate::dyninst::{DynInst, RegClass};
 use crate::machine::Machine;
 use crate::refmodel::Interpreter;
 use crate::thread::ThreadState;
+use crate::window::F_ORDER;
 
 /// Configuration of the pipeline sanitizer (see [`Machine::set_check`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -466,6 +468,65 @@ impl Machine {
             }
         }
         out[start..].sort_unstable_by_key(|v| v.seq);
+        // Parked loads are outside that superset, so each needs its own
+        // wake-up: an `F_ORDER` load must sit on its thread's parked list
+        // exactly once, behind a live, older store of that thread whose
+        // address is still unknown (the store's execution unparks it), and
+        // every parked-list entry must name a live `F_ORDER` load.
+        let start = out.len();
+        for (s, flags) in self.window.iter_flags() {
+            if flags & F_ORDER == 0 {
+                continue;
+            }
+            let inst = self.window.get(s).expect("flagged entry is live");
+            let t = &self.threads[inst.tid];
+            let mut entries = t.parked_loads.iter().filter(|&&(_, load)| load == s);
+            let detail = match (entries.next(), entries.next()) {
+                (None, _) => {
+                    Some("F_ORDER load missing from its thread's parked list".to_string())
+                }
+                (Some(_), Some(_)) => Some("load parked more than once".to_string()),
+                (Some(&(store, _)), None) => {
+                    let blocking = inst.inst.op.is_load()
+                        && store < s
+                        && t.store_queue.contains(&store)
+                        && self
+                            .window
+                            .get(store)
+                            .is_some_and(|st| st.tid == inst.tid && st.mem_vaddr.is_none());
+                    (!blocking).then(|| {
+                        format!("parked behind {store}, not an older unresolved store")
+                    })
+                }
+            };
+            if let Some(detail) = detail {
+                out.push(CheckViolation {
+                    rule: "parked-load",
+                    cycle: now,
+                    tid: Some(inst.tid),
+                    seq: Some(s),
+                    detail,
+                });
+            }
+        }
+        for (tid, t) in self.threads.iter().enumerate() {
+            for &(store, load) in &t.parked_loads {
+                let flagged = self.window.get(load).is_some_and(|i| i.tid == tid)
+                    && self.window.issue_state(load).is_some_and(|(f, _)| f & F_ORDER != 0);
+                if !flagged {
+                    out.push(CheckViolation {
+                        rule: "parked-load",
+                        cycle: now,
+                        tid: Some(tid),
+                        seq: Some(load),
+                        detail: format!(
+                            "parked-list entry ({store}, {load}) names a dead or unparked load"
+                        ),
+                    });
+                }
+            }
+        }
+        out[start..].sort_unstable_by_key(|v| v.seq);
         if !deep {
             return;
         }
@@ -530,5 +591,69 @@ impl Machine {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use smtx_isa::{ProgramBuilder, Reg};
+
+    use crate::{ExnMechanism, Machine, MachineConfig};
+
+    const DATA: u64 = 0x2000_0000;
+
+    fn parked_load_violations(m: &Machine) -> Vec<(Option<u64>, String)> {
+        let mut found = Vec::new();
+        m.collect_structural_violations(false, &mut found);
+        found.into_iter().filter(|v| v.rule == "parked-load").map(|v| (v.seq, v.detail)).collect()
+    }
+
+    /// A store whose address hangs on a multiply chain parks the
+    /// independent load behind it; breaking either half of the park
+    /// bookkeeping must fire the rule.
+    #[test]
+    fn parked_load_rule_fires_on_a_lost_wake_up() {
+        let mut b = ProgramBuilder::new();
+        b.li(Reg(10), DATA);
+        b.li(Reg(1), 3);
+        for _ in 0..4 {
+            b.mul(Reg(1), Reg(1), Reg(1));
+        }
+        b.andi(Reg(1), Reg(1), 0);
+        b.add(Reg(2), Reg(10), Reg(1));
+        b.stq(Reg(1), Reg(2), 0);
+        b.ldq(Reg(4), Reg(10), 64);
+        b.halt();
+        let program = b.build().expect("assembles");
+        let mut m = Machine::new(MachineConfig::paper_baseline(ExnMechanism::PerfectTlb));
+        let space = m.attach_program(0, &program);
+        let (sp, pm, alloc) = m.vm_parts(space);
+        sp.map_region(pm, alloc, DATA, 1);
+        let mut parked = None;
+        for _ in 0..200 {
+            m.step_cycle();
+            parked = m.threads[0].parked_loads.first().copied();
+            if parked.is_some() {
+                break;
+            }
+        }
+        let (store, load) = parked.expect("the load parks behind the store");
+        assert!(store < load);
+        assert!(parked_load_violations(&m).is_empty());
+
+        // Flagged `F_ORDER` but on no parked list: nothing would unpark it.
+        m.threads[0].parked_loads.clear();
+        let found = parked_load_violations(&m);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].0, Some(load));
+        assert!(found[0].1.contains("missing"), "{found:?}");
+
+        // Listed but no longer flagged.
+        m.threads[0].parked_loads.push((store, load));
+        m.window.clear_order(load);
+        let found = parked_load_violations(&m);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].0, Some(load));
+        assert!(found[0].1.contains("dead or unparked"), "{found:?}");
     }
 }

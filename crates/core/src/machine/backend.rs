@@ -56,6 +56,15 @@ impl FuBudget {
     }
 }
 
+/// Why an issuable candidate must wait (see [`Machine::order_block`]).
+enum OrderBlock {
+    /// A load behind this older same-thread store, whose address is
+    /// unknown; the load parks until the store executes.
+    Store(u64),
+    /// PAL serialization behind older unfinished instructions; polled.
+    Serialize,
+}
+
 /// Outcome of a translation attempt at execute time.
 enum Xlate {
     Hit(u64),
@@ -88,13 +97,14 @@ impl Machine {
         }
 
         // Oldest fetched first, across all threads (paper Table 1). The
-        // window is an unordered map; instead of scanning all of it every
-        // cycle, the scheduler walks `ready_seqs` — the superset of
-        // issuable candidates maintained at rename and wake-up time — in
-        // sorted order, which is the same order the old full scan produced.
-        // Entries are re-validated on sight and compacted in place: a seq
-        // that turns out squashed, issued or parked is dropped (its next
-        // wake-up re-adds it), one that stays eligible is retained.
+        // scheduler walks `ready_seqs` (every instruction that could issue,
+        // kept at rename and wake-up time) in sequence order. Entries are
+        // re-validated on sight and compacted in place: a seq that turns out
+        // squashed, issued or parked is dropped (the event that unparks it
+        // re-adds it), one that stays eligible is retained. A store that
+        // executes here unparks its waiting loads into `unparked`; each is
+        // younger than the store, so it lies ahead of the cursor and merges
+        // into this same scan at its sequence position.
         while let Some(&Reverse((at, _))) = self.pending_issue.peek() {
             if at > now {
                 break;
@@ -108,14 +118,23 @@ impl Machine {
         let start_len = self.ready_seqs.len();
         let mut keep = 0;
         let mut idx = 0;
-        while idx < start_len {
+        loop {
             // Once the issue width is exhausted nothing further can issue
             // (unless handler instructions execute for free).
             if fu.width == 0 && !scan_all {
                 break;
             }
-            let seq = self.ready_seqs[idx];
-            idx += 1;
+            // `unparked` is sorted descending: its last entry is its oldest.
+            let from_list = idx < start_len
+                && self.unparked.last().is_none_or(|&u| self.ready_seqs[idx] < u);
+            let seq = if from_list {
+                idx += 1;
+                self.ready_seqs[idx - 1]
+            } else if let Some(u) = self.unparked.pop() {
+                u
+            } else {
+                break;
+            };
             // Re-validate: earlier candidates may have squashed this one or
             // resolved state may have changed.
             let retain = 'v: {
@@ -130,8 +149,15 @@ impl Machine {
                 if earliest > now {
                     break 'v true; // eligible in a future cycle
                 }
-                if !self.issue_ready(seq) {
-                    break 'v true; // blocked on ordering, not wake-ups
+                match self.order_block(seq) {
+                    Some(OrderBlock::Store(store)) => {
+                        let tid = self.window.get(seq).expect("issuable entry is live").tid;
+                        self.window.set_order(seq);
+                        self.threads[tid].parked_loads.push((store, seq));
+                        break 'v false;
+                    }
+                    Some(OrderBlock::Serialize) => break 'v true,
+                    None => {}
                 }
                 let inst = self.window.get(seq).expect("issuable entry is live");
                 let tid = inst.tid;
@@ -150,51 +176,76 @@ impl Machine {
                     None => false,
                 }
             };
-            if retain {
+            if !retain {
+                continue;
+            }
+            if from_list {
                 self.ready_seqs[keep] = seq;
                 keep += 1;
+            } else {
+                self.ready_seqs.push(seq);
             }
         }
         // Entries left unexamined by the width cutoff are retained; anything
-        // appended mid-scan (a wake-up fired by a squash) sits past
-        // `start_len` and survives the compaction untouched.
+        // appended mid-scan (a wake-up fired by a squash, a retained
+        // unparked load) sits past `start_len` and survives the compaction.
         while idx < start_len {
             self.ready_seqs[keep] = self.ready_seqs[idx];
             keep += 1;
             idx += 1;
         }
         self.ready_seqs.drain(keep..start_len);
+        self.ready_seqs.append(&mut self.unparked);
     }
 
-    /// Non-resource issue preconditions: conservative memory
-    /// disambiguation (loads wait for older same-thread store addresses)
-    /// and PAL serialization (`RFE`/`HARDEXC` execute only once all older
-    /// instructions of the thread are done).
-    fn issue_ready(&self, seq: u64) -> bool {
+    /// Non-resource issue preconditions, `None` once they hold.
+    /// Conservative memory disambiguation: a load waits for the address of
+    /// every older same-thread store, and is blocked by the oldest one still
+    /// unknown. PAL serialization: `RFE`/`HARDEXC`/`MTDST` execute only once
+    /// all older instructions of the thread are done.
+    fn order_block(&self, seq: u64) -> Option<OrderBlock> {
         let inst = self.window.get(seq).expect("issue candidate is live");
         let t = &self.threads[inst.tid];
         match inst.inst.op {
-            op if op.is_load() => {
-                for &s in &t.store_queue {
-                    if s >= seq {
-                        break;
-                    }
-                    if self.window.get(s).expect("queued store is live").mem_vaddr.is_none() {
-                        return false;
-                    }
-                }
-                true
-            }
+            op if op.is_load() => t
+                .store_queue
+                .iter()
+                .take_while(|&&s| s < seq)
+                .find(|&&s| self.window.get(s).expect("queued store is live").mem_vaddr.is_none())
+                .map(|&s| OrderBlock::Store(s)),
             // PAL serialization: these have irreversible effects (return,
             // escalate, cross-thread register write), so they execute only
             // once every older instruction of the thread has resolved —
             // in particular after any older mispredicted branch would have
-            // squashed them.
-            Op::Rfe | Op::Hardexc | Op::Mtdst => {
-                t.rob.iter().take_while(|&&s| s < seq).all(|&s| self.window.is_done(s))
-            }
-            _ => true,
+            // squashed them. Rare enough to poll every cycle.
+            Op::Rfe | Op::Hardexc | Op::Mtdst => t
+                .rob
+                .iter()
+                .take_while(|&&s| s < seq)
+                .any(|&s| !self.window.is_done(s))
+                .then_some(OrderBlock::Serialize),
+            _ => None,
         }
+    }
+
+    /// Store `store` of `tid` just resolved its address: its parked loads
+    /// lose `F_ORDER` and join the running issue scan.
+    fn unpark_loads(&mut self, tid: usize, store: u64) {
+        let unparked = &mut self.unparked;
+        let before = unparked.len();
+        self.threads[tid].parked_loads.retain(|&(s, load)| {
+            if s == store {
+                unparked.push(load);
+            }
+            s != store
+        });
+        if unparked.len() == before {
+            return;
+        }
+        for &load in &unparked[before..] {
+            self.window.clear_order(load);
+        }
+        unparked.sort_unstable_by(|a, b| b.cmp(a));
     }
 
     fn execute_one(&mut self, seq: u64, now: u64) {
@@ -375,6 +426,7 @@ impl Machine {
         i.mem_paddr = pa;
         i.result = data;
         self.events.push(Reverse((now + FuClass::Store.latency(), seq)));
+        self.unpark_loads(tid, seq);
     }
 
     // ================================================================

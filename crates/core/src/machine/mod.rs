@@ -126,11 +126,14 @@ pub struct Machine {
     pub(crate) retire_log: Option<Vec<RetireEvent>>,
     /// The issue scheduler's wake-up list: a conservative *superset* of the
     /// sequence numbers that could issue — maintained at rename and at every
-    /// wake-up site (operand completion, TLB-fill wake, handler release)
-    /// instead of re-scanning the whole window each cycle. Entries are
-    /// re-validated against the window on every use, so stale seqs
-    /// (squashed, issued, parked) are dropped on sight; correctness only
-    /// requires that every genuinely issuable instruction is present.
+    /// wake-up site (operand completion, TLB-fill wake, handler release, a
+    /// store resolving the address its parked loads wait on) instead of
+    /// re-scanning the whole window each cycle. Entries are re-validated
+    /// against the window on every use, so stale seqs (squashed, issued,
+    /// parked) are dropped on sight; correctness only requires that every
+    /// genuinely issuable instruction is present. Parked instructions
+    /// (`F_WAITING` on a TLB fill, `F_ORDER` behind an unresolved store) are
+    /// not issuable and stay off it until their wake-up.
     pub(crate) ready_seqs: Vec<u64>,
     /// Instructions renamed with all operands already resolved, staged as
     /// `(earliest_issue, seq)` until their scheduling delay elapses — they
@@ -139,6 +142,10 @@ pub struct Machine {
     /// `ready_seqs`; stale (squashed) entries are caught by the same
     /// re-validation there.
     pub(crate) pending_issue: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Loads unparked during the running issue scan by a store resolving
+    /// its address, sorted descending, merged into that scan in sequence
+    /// order; empty between scans.
+    pub(crate) unparked: Vec<u64>,
     /// Reused per-cycle scratch for the decode-order thread list.
     pub(crate) scratch_order: Vec<usize>,
     /// Reused per-cycle scratch: sequence numbers completed in pass 1 of
@@ -227,6 +234,7 @@ impl Machine {
             retire_log: None,
             ready_seqs: Vec::new(),
             pending_issue: BinaryHeap::new(),
+            unparked: Vec::new(),
             scratch_order: Vec::new(),
             completion_scratch: Vec::new(),
             consumer_scratch: Vec::new(),
@@ -644,6 +652,9 @@ impl Machine {
         // of those candidates by construction; re-validating each entry
         // here gives the same answer as a full window scan. A stale staged
         // entry can only make the wake *earlier* — conservative, so safe.
+        // Loads parked behind an unresolved store are on neither: they
+        // unpark only when that store executes, and the store is itself an
+        // issue candidate or waits on an event counted above.
         if let Some(&Reverse((at, _))) = self.pending_issue.peek() {
             if at <= now {
                 return None;
@@ -775,6 +786,7 @@ impl Machine {
             }
             self.stats.squashed_insts += 1;
         }
+        self.threads[tid].parked_loads.retain(|&(_, load)| load < from_seq);
         for h in released_handlers {
             self.release_handler(h, false);
         }

@@ -94,6 +94,10 @@ pub struct ThreadContext {
     pub rob: VecDeque<u64>,
     /// Sequence numbers of in-flight stores, in fetch order.
     pub store_queue: VecDeque<u64>,
+    /// Loads parked behind an older store of this context whose address is
+    /// unknown, as `(store seq, load seq)`; each load carries `F_ORDER`
+    /// in the window until that store executes.
+    pub parked_loads: Vec<(u64, u64)>,
 
     // ---- accounting ----
     /// User-mode instructions retired.
@@ -133,6 +137,7 @@ impl ThreadContext {
             rmap_priv: [None; 8],
             rob: VecDeque::new(),
             store_queue: VecDeque::new(),
+            parked_loads: Vec::new(),
             retired_user: 0,
             retired_pal: 0,
             budget: None,
@@ -227,6 +232,7 @@ impl ThreadContext {
         self.rmap_priv = [None; 8];
         self.rob.clear();
         self.store_queue.clear();
+        self.parked_loads.clear();
         self.redirect_wait = None;
         self.last_ifetch_line = None;
     }

@@ -6,9 +6,9 @@
 //! slots), with every slot carrying its full 64-bit sequence number so each
 //! probe validates in O(1) with no hashing and no bucket chase. The
 //! scheduler-scanned state (`earliest_issue` plus the issued / done /
-//! srcs-ready / TLB-wait bits) is split into dense SoA arrays so issue
-//! validation and wake propagation touch one cache line per candidate
-//! instead of a ~150-byte `DynInst`.
+//! srcs-ready / TLB-wait / store-order bits) is split into dense SoA
+//! arrays so issue validation and wake propagation touch one cache line
+//! per candidate instead of a ~150-byte `DynInst`.
 //!
 //! Live sequence numbers are *not* bounded to a window-sized range of the
 //! ring: one thread can stall at an old ROB head while another burns
@@ -37,6 +37,9 @@ pub const F_DONE: u8 = 2;
 pub const F_READY: u8 = 4;
 /// Flag bit: parked waiting on a TLB fill.
 pub const F_WAITING: u8 = 8;
+/// Flag bit: a load parked until an older same-thread store resolves its
+/// address (memory disambiguation).
+pub const F_ORDER: u8 = 16;
 
 /// The exact flag state of an instruction the scheduler may pick: all
 /// sources ready, not yet issued, not done, not parked.
@@ -124,7 +127,7 @@ impl Window {
     }
 
     /// Mutable access to the instruction record for `seq`. Scheduler state
-    /// (issued/done/ready/waiting bits, `earliest_issue`) lives in the SoA
+    /// (issued/done/ready/waiting/order bits, `earliest_issue`) lives in the SoA
     /// arrays and is mutated only through the dedicated methods below;
     /// `srcs` and `waiting_tlb` changes must go through
     /// [`Window::resolve_src`] / [`Window::set_waiting`] /
@@ -261,6 +264,26 @@ impl Window {
         self.flags[i] &= !F_WAITING;
         self.insts[i].as_mut().expect("live slot holds inst").waiting_tlb = None;
         true
+    }
+
+    /// Parks load `seq` behind an older store whose address is unknown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is not live.
+    pub fn set_order(&mut self, seq: u64) {
+        let i = self.slot_of(seq).expect("parking a live load");
+        self.flags[i] |= F_ORDER;
+    }
+
+    /// Unparks load `seq` once the store it waited on has its address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is not live.
+    pub fn clear_order(&mut self, seq: u64) {
+        let i = self.slot_of(seq).expect("unparking a live load");
+        self.flags[i] &= !F_ORDER;
     }
 
     /// Delivers `value` to operand `slot` of consumer `seq`. Returns
@@ -458,6 +481,11 @@ mod tests {
         assert!(w.is_done(5));
         w.clear_issued(5);
         assert_eq!(w.issue_state(5).unwrap().0, F_READY | F_DONE);
+        w.insert(di(6), 0);
+        w.set_order(6);
+        assert_eq!(w.issue_state(6).unwrap().0, F_READY | F_ORDER);
+        w.clear_order(6);
+        assert_eq!(w.issue_state(6), Some((F_ISSUABLE, 0)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! *bit-identical* `Stats` of the naive cycle-by-cycle loop — including the
 //! final cycle count — while actually stepping fewer cycles.
 
-use smtx_core::{ExnMechanism, Machine, MachineConfig, ThreadState};
+use smtx_core::{ExnMechanism, Machine, MachineConfig, Stats, ThreadState, ThreadStats};
 use smtx_isa::{PrivReg, Program, ProgramBuilder, Reg};
 use smtx_mem::{AddressSpace, PhysAlloc, PhysMem, PAGE_SIZE};
 use smtx_rng::rngs::StdRng;
@@ -216,4 +216,84 @@ fn idle_skip_is_identical_with_two_threads_and_budgets() {
     assert_eq!(fast.stats(), naive.stats(), "two-thread stats identical");
     assert_eq!(fast.int_regs(0), naive.int_regs(0));
     assert_eq!(fast.int_regs(1), naive.int_regs(1));
+}
+
+/// A store whose address hangs on a cache-missing load and a MUL/DIVU
+/// chain, followed by a run of independent loads (one of them reading the
+/// store's own address). Every such load waits for the store's address
+/// (conservative disambiguation), so each iteration is a stall whose only
+/// pending work is loads behind one unresolved store.
+fn store_shadow_program(iters: u64) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(10), DATA_BASE);
+    b.li(Reg(11), 0);
+    b.li(Reg(14), iters);
+    b.li(Reg(15), PAGE_SIZE);
+    b.li(Reg(20), 7);
+    b.label("loop");
+    b.add(Reg(1), Reg(10), Reg(11));
+    b.ldq(Reg(2), Reg(1), 0); // a new page each iteration: cache miss
+    b.mul(Reg(3), Reg(2), Reg(20));
+    b.ori(Reg(6), Reg(3), 1);
+    b.divu(Reg(3), Reg(3), Reg(6));
+    b.andi(Reg(3), Reg(3), 0);
+    b.add(Reg(4), Reg(10), Reg(3));
+    b.stq(Reg(2), Reg(4), 8);
+    for k in 0..8u8 {
+        b.ldq(Reg(21 + k), Reg(10), 8 + 64 * i32::from(k));
+        b.add(Reg(13), Reg(13), Reg(21 + k));
+    }
+    b.add(Reg(11), Reg(11), Reg(15));
+    b.addi(Reg(14), Reg(14), -1);
+    b.bne(Reg(14), "loop");
+    b.halt();
+    b.build().expect("assembles")
+}
+
+/// Loads parked behind an unresolved store leave the issue scan and stop
+/// blocking idle-skip; they must unpark in exactly the cycle, and in the
+/// order, the per-cycle polling scan issued them. The pinned `Stats` lock
+/// that order; the skip floor shows the stalls are now jumped.
+#[test]
+fn loads_behind_an_unresolved_store_skip_exactly() {
+    let pages = 48;
+    let program = store_shadow_program(pages);
+    for mech in ExnMechanism::ALL {
+        let config = MachineConfig::paper_baseline(mech).with_threads(2);
+        check_identical(&program, config, pages, &format!("store shadow {mech:?}"));
+    }
+    let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(2);
+    let mut m = machine_with(&program, config, pages, true);
+    m.run(20_000_000);
+    let expected = Stats {
+        cycles: 7721,
+        threads: vec![
+            ThreadStats {
+                retired_user: 1305,
+                retired_pal: 0,
+                finished_at: Some(7720),
+                tlb_miss_insts_retired: 48,
+                mispredicts: 8,
+            },
+            ThreadStats {
+                retired_user: 0,
+                retired_pal: 480,
+                finished_at: None,
+                tlb_miss_insts_retired: 0,
+                mispredicts: 0,
+            },
+        ],
+        fills_committed: 48,
+        handlers_spawned: 48,
+        deadlock_squashes: 7,
+        squashed_insts: 61,
+        handler_active_cycles: 1781,
+        fetched: 1846,
+        issued: 1840,
+        ..Stats::default()
+    };
+    assert_eq!(m.stats(), &expected);
+    // Parked loads do not hold off idle-skip, so most of each stall behind
+    // the store is jumped rather than stepped.
+    assert!(m.skipped_cycles() > 2_000, "skipped only {} cycles", m.skipped_cycles());
 }
