@@ -295,7 +295,8 @@ pub fn load_programs(args: &Args) -> Result<Vec<Kernel>, String> {
         .collect()
 }
 
-/// The paper's §3 metric: `(cycles(mechanism) − cycles(perfect)) / misses`.
+/// The paper's §3 metric: `(cycles(mechanism) − cycles(perfect)) / misses`,
+/// with the baseline built by [`runner::perfect_of`].
 #[must_use]
 pub fn penalty_per_miss(
     kernel: Kernel,
@@ -304,9 +305,7 @@ pub fn penalty_per_miss(
     config: &MachineConfig,
 ) -> f64 {
     let run = run_kernel(kernel, seed, insts, config.clone());
-    let mut perfect_cfg = config.clone();
-    perfect_cfg.mechanism = ExnMechanism::PerfectTlb;
-    let perfect = run_kernel(kernel, seed, insts, perfect_cfg);
+    let perfect = run_kernel(kernel, seed, insts, runner::perfect_of(config));
     (run.cycles as f64 - perfect.cycles as f64) / run.arch_misses.max(1) as f64
 }
 

@@ -9,7 +9,13 @@
 //! served from a shared in-process cache.
 //!
 //! Jobs are deduplicated by [`RunKey`]: kernel, seed, instruction budget
-//! and the [`MachineConfig::digest`] of the configuration. The simulator is
+//! and the [`MachineConfig::digest`] of the configuration. [`perfect_of`]
+//! canonicalizes the baseline before it is keyed: a perfect TLB starts no
+//! handler thread, so idle contexts and limit knobs cannot change its run,
+//! and it drops them (one context, default knobs; `emulate_divu` configs,
+//! whose `DIVU` handlers run even under a perfect TLB, keep both). Every
+//! column of Fig. 5 or Table 3 therefore shares one baseline per kernel
+//! window. The simulator is
 //! fully deterministic, so the same `RunKey` always yields bit-identical
 //! [`Stats`] whether it is computed serially, in parallel, or served from
 //! the cache — `tests/runner_determinism.rs` holds that gate.
@@ -23,7 +29,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use smtx_core::{
-    CheckConfig, Checkpoint, ExnMechanism, Machine, MachineConfig, Stats, TraceEvent, VecSink,
+    CheckConfig, Checkpoint, ExnMechanism, LimitKnobs, Machine, MachineConfig, Stats, TraceEvent,
+    VecSink,
 };
 use smtx_trace::codec;
 use smtx_util::ShardMap;
@@ -926,12 +933,30 @@ impl Runner {
     }
 }
 
-/// `config` with the mechanism swapped for the perfect TLB (the penalty
-/// metric's baseline).
+/// The penalty metric's perfect-TLB baseline for `config`, in canonical
+/// form: the mechanism swapped for the perfect TLB, one hardware context
+/// and default [`LimitKnobs`].
+///
+/// A perfect-TLB machine never takes a TLB exception, so it never starts a
+/// handler thread: its idle contexts stay idle and the limit knobs, which
+/// only change how handler instructions are charged, have nothing to act
+/// on. Dropping them changes no cycle of thread 0's run
+/// (`tests/perfect_baseline.rs` holds that gate) and lets every column of a
+/// figure that differs only in those fields share one baseline simulation.
+/// A config with `emulate_divu` keeps its contexts and knobs: emulated
+/// `DIVU` starts handler threads even under a perfect TLB.
+///
+/// The baseline serves single-application runs, i.e. thread 0 only. A
+/// multi-application checkpoint restored into it trips
+/// `Machine::restore`'s context-count assert.
 #[must_use]
 pub fn perfect_of(config: &MachineConfig) -> MachineConfig {
     let mut perfect = config.clone();
     perfect.mechanism = ExnMechanism::PerfectTlb;
+    if !perfect.emulate_divu {
+        perfect.threads = 1;
+        perfect.limits = LimitKnobs::default();
+    }
     perfect
 }
 
@@ -975,14 +1000,28 @@ mod tests {
     #[test]
     fn penalty_shares_the_perfect_baseline() {
         let runner = Runner::new(1);
-        let multi = config_with_idle(ExnMechanism::Multithreaded, 1);
-        let hw = config_with_idle(ExnMechanism::Hardware, 1);
-        let _ = runner.penalty_per_miss(Kernel::Compress, 42, 5_000, &multi);
-        let unique_after_first = runner.stats().unique_runs;
-        let _ = runner.penalty_per_miss(Kernel::Compress, 42, 5_000, &hw);
-        // Second mechanism adds exactly one new simulation — the perfect
-        // baseline and the reference run are shared.
-        assert_eq!(runner.stats().unique_runs, unique_after_first + 1);
+        // Fig. 5's columns: they differ in mechanism and idle contexts.
+        let columns = [
+            config_with_idle(ExnMechanism::Traditional, 1),
+            config_with_idle(ExnMechanism::Multithreaded, 1),
+            config_with_idle(ExnMechanism::Multithreaded, 3),
+            config_with_idle(ExnMechanism::Hardware, 1),
+        ];
+        let _ = runner.penalty_per_miss(Kernel::Compress, 42, 5_000, &columns[0]);
+        for cfg in &columns[1..] {
+            let before = runner.stats().unique_runs;
+            let _ = runner.penalty_per_miss(Kernel::Compress, 42, 5_000, cfg);
+            // Each later column adds exactly its own simulation — the
+            // perfect baseline and the reference run are shared, whatever
+            // the column's context count.
+            assert_eq!(
+                runner.stats().unique_runs,
+                before + 1,
+                "{:?} with {} contexts",
+                cfg.mechanism,
+                cfg.threads
+            );
+        }
     }
 
     #[test]

@@ -52,10 +52,16 @@ struct Line {
 /// assert!(c.access(0x40));   // now hits
 /// assert!(c.access(0x44));   // same line
 /// ```
+///
+/// The tag array is one flat allocation, way `w` of set `s` at index
+/// `s * assoc + w`, so building a hierarchy costs one allocation per level
+/// rather than one per set.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
-    sets: Vec<Vec<Line>>,
+    /// `sets * assoc` lines, set-major.
+    lines: Vec<Line>,
+    sets: u64,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -65,13 +71,11 @@ impl Cache {
     /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Cache {
-        let sets = geometry.sets() as usize;
+        let sets = geometry.sets();
         Cache {
             geometry,
-            sets: vec![
-                vec![Line { tag: 0, valid: false, last_use: 0 }; geometry.assoc];
-                sets
-            ],
+            lines: vec![Line { tag: 0, valid: false, last_use: 0 }; sets as usize * geometry.assoc],
+            sets,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -90,10 +94,12 @@ impl Cache {
         addr & !(self.geometry.line - 1)
     }
 
-    fn set_and_tag(&self, addr: Paddr) -> (usize, u64) {
+    /// The ways of `addr`'s set (a slice of the flat tag array) and the
+    /// line's tag.
+    fn set_and_tag(&self, addr: Paddr) -> (std::ops::Range<usize>, u64) {
         let line = addr / self.geometry.line;
-        let sets = self.sets.len() as u64;
-        ((line % sets) as usize, line / sets)
+        let start = (line % self.sets) as usize * self.geometry.assoc;
+        (start..start + self.geometry.assoc, line / self.sets)
     }
 
     /// Accesses `addr`: returns `true` on a hit. A miss allocates the line
@@ -101,8 +107,8 @@ impl Cache {
     pub fn access(&mut self, addr: Paddr) -> bool {
         self.clock += 1;
         let clock = self.clock;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.sets[set_idx];
+        let (ways, tag) = self.set_and_tag(addr);
+        let set = &mut self.lines[ways];
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.last_use = clock;
             self.hits += 1;
@@ -120,8 +126,8 @@ impl Cache {
     /// Checks residency without updating LRU state or counters.
     #[must_use]
     pub fn probe(&self, addr: Paddr) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        let (ways, tag) = self.set_and_tag(addr);
+        self.lines[ways].iter().any(|w| w.valid && w.tag == tag)
     }
 
     /// `(hits, misses)` counters.
@@ -132,10 +138,8 @@ impl Cache {
 
     /// Invalidates every line.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
+        for way in &mut self.lines {
+            way.valid = false;
         }
     }
 }
@@ -211,6 +215,108 @@ mod tests {
         }
         for i in 0..4u64 {
             assert!(c.access(i * 32), "set {i} should still hold its line");
+        }
+    }
+
+    /// The nested-`Vec` LRU model the flat tag array replaced: one `Vec`
+    /// of ways per set, first match on lookup, first invalid or else
+    /// least-recently-used way as the victim.
+    struct NestedLru {
+        sets: Vec<Vec<Line>>,
+        line: u64,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl NestedLru {
+        fn new(g: CacheGeometry) -> NestedLru {
+            let way = Line { tag: 0, valid: false, last_use: 0 };
+            NestedLru {
+                sets: vec![vec![way; g.assoc]; g.sets() as usize],
+                line: g.line,
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_and_tag(&self, addr: Paddr) -> (usize, u64) {
+            let line = addr / self.line;
+            let sets = self.sets.len() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn access(&mut self, addr: Paddr) -> bool {
+            self.clock += 1;
+            let (set_idx, tag) = self.set_and_tag(addr);
+            let set = &mut self.sets[set_idx];
+            if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                way.last_use = self.clock;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            let victim = set
+                .iter_mut()
+                .min_by_key(|w| if w.valid { w.last_use } else { 0 })
+                .expect("assoc > 0");
+            *victim = Line { tag, valid: true, last_use: self.clock };
+            false
+        }
+
+        fn probe(&self, addr: Paddr) -> bool {
+            let (set_idx, tag) = self.set_and_tag(addr);
+            self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        }
+
+        fn flush(&mut self) {
+            for way in self.sets.iter_mut().flatten() {
+                way.valid = false;
+            }
+        }
+    }
+
+    #[test]
+    fn flat_tag_array_matches_the_nested_lru_model() {
+        use smtx_rng::rngs::StdRng;
+        use smtx_rng::{RngExt, SeedableRng};
+
+        for assoc in [1usize, 2, 4, 8] {
+            for (size, line) in [(1024u64, 32u64), (8192, 64)] {
+                let g = CacheGeometry { size, assoc, line };
+                let mut flat = Cache::new(g);
+                let mut model = NestedLru::new(g);
+                let mut rng = StdRng::seed_from_u64(assoc as u64 * 131 + size);
+                // A footprint of ~4x the capacity keeps every set cycling
+                // through hits, cold misses and evictions.
+                let span = size * 4;
+                for step in 0..20_000u32 {
+                    let addr = rng.random_range(0..span);
+                    match rng.random_range(0..100u32) {
+                        0 => {
+                            flat.flush();
+                            model.flush();
+                        }
+                        1..=20 => assert_eq!(
+                            flat.probe(addr),
+                            model.probe(addr),
+                            "probe {addr:#x} at step {step}, {g:?}"
+                        ),
+                        _ => assert_eq!(
+                            flat.access(addr),
+                            model.access(addr),
+                            "access {addr:#x} at step {step}, {g:?}"
+                        ),
+                    }
+                    assert_eq!(flat.stats(), (model.hits, model.misses), "{g:?}");
+                }
+                let (hits, misses) = flat.stats();
+                assert!(hits > 0 && misses > 0, "{g:?}: the stream exercises both outcomes");
+                for addr in (0..span).step_by(line as usize) {
+                    assert_eq!(flat.probe(addr), model.probe(addr), "final {addr:#x}, {g:?}");
+                }
+            }
         }
     }
 }

@@ -168,7 +168,7 @@ fn fig5_work_counts_are_exact_and_job_count_independent() {
         let s = exp.runner.stats();
         assert_eq!(
             (s.unique_runs, s.cache_hits, s.checkpoint_hits, s.sim_cycles, s.checkpoint_bytes),
-            (64, 120, 64, 2_038_277, 16_183_488),
+            (56, 112, 56, 1_704_878, 16_183_488),
             "fig5 --insts 500 --skip 20000 work counts at --jobs {jobs} \
              (unique_runs, cache_hits, checkpoint_hits, sim_cycles, checkpoint_bytes)"
         );
