@@ -144,7 +144,7 @@ fn window_insert_retire() {
         }
         for seq in 64..40_064u64 {
             w.insert(mk_inst(seq), 0);
-            std::hint::black_box(w.remove(seq - 64));
+            std::hint::black_box(w.release(seq - 64));
         }
         w.len()
     });
@@ -189,7 +189,7 @@ fn window_wake_chain() {
                     woken += 1;
                 }
             }
-            std::hint::black_box(w.remove(seq - 64));
+            std::hint::black_box(w.release(seq - 64));
         }
         woken
     });

@@ -363,13 +363,17 @@ pub fn table4(exp: &mut Experiment) {
         "{:<10} {:>8} {:>12} {:>9} {:>8} {:>9} {:>9} {:>9} {:>9}",
         "bench", "baseIPC", "misses/100M", "Perfect", "H/W", "Multi(1)", "Multi(3)", "Quick(1)", "Quick(3)"
     ));
+    // The "Perfect" column is the canonical perfect-TLB baseline, the same
+    // run every other figure's perfect cell uses.
+    let base_cfg = config_with_idle(ExnMechanism::Traditional, 1);
+    let perfect_cfg = perfect_of(&base_cfg);
     let columns = [
-        ("Perfect", ExnMechanism::PerfectTlb, 1usize),
-        ("H/W", ExnMechanism::Hardware, 1),
-        ("Multi(1)", ExnMechanism::Multithreaded, 1),
-        ("Multi(3)", ExnMechanism::Multithreaded, 3),
-        ("Quick(1)", ExnMechanism::QuickStart, 1),
-        ("Quick(3)", ExnMechanism::QuickStart, 3),
+        perfect_cfg.clone(),
+        config_with_idle(ExnMechanism::Hardware, 1),
+        config_with_idle(ExnMechanism::Multithreaded, 1),
+        config_with_idle(ExnMechanism::Multithreaded, 3),
+        config_with_idle(ExnMechanism::QuickStart, 1),
+        config_with_idle(ExnMechanism::QuickStart, 3),
     ];
 
     let seed = exp.args.seed;
@@ -377,14 +381,9 @@ pub fn table4(exp: &mut Experiment) {
     let mut jobs = Vec::new();
     for (&k, &insts) in Kernel::ALL.iter().zip(&budgets) {
         jobs.push(Job::Ref { kernel: k, seed, insts });
-        jobs.push(Job::Sim {
-            kernel: k,
-            seed,
-            insts,
-            config: config_with_idle(ExnMechanism::Traditional, 1),
-        });
-        for (_, mech, idle) in columns {
-            jobs.push(Job::Sim { kernel: k, seed, insts, config: config_with_idle(mech, idle) });
+        jobs.push(Job::Sim { kernel: k, seed, insts, config: base_cfg.clone() });
+        for cfg in &columns {
+            jobs.push(Job::Sim { kernel: k, seed, insts, config: cfg.clone() });
         }
     }
     exp.runner.prefetch(jobs);
@@ -400,17 +399,15 @@ pub fn table4(exp: &mut Experiment) {
         "Quick(3)".into(),
     ];
     for (&k, &insts) in Kernel::ALL.iter().zip(&budgets) {
-        let base =
-            exp.runner.run(k, seed, insts, &config_with_idle(ExnMechanism::Traditional, 1));
+        let base = exp.runner.run(k, seed, insts, &base_cfg);
         let misses_per_100m = base.arch_misses as f64 * 100.0e6 / insts as f64;
         let mut cells = Vec::new();
-        for (_, mech, idle) in columns {
-            let run = exp.runner.run(k, seed, insts, &config_with_idle(mech, idle));
+        for cfg in &columns {
+            let run = exp.runner.run(k, seed, insts, cfg);
             let speedup = (base.cycles as f64 / run.cycles as f64 - 1.0) * 100.0;
             cells.push(speedup);
         }
-        let perfect =
-            exp.runner.run(k, seed, insts, &config_with_idle(ExnMechanism::PerfectTlb, 1));
+        let perfect = exp.runner.run(k, seed, insts, &perfect_cfg);
         exp.println(&format!(
             "{:<10} {:>8.1} {:>12.0} {:>8.1}% {:>7.1}% {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
             k.name(),

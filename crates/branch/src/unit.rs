@@ -17,6 +17,22 @@ pub struct BranchCheckpoint {
     ras: RasCheckpoint,
 }
 
+impl BranchCheckpoint {
+    /// The global history captured: the history a conditional prediction
+    /// made right after this checkpoint read, and so the one to train with.
+    #[must_use]
+    pub fn ghr(&self) -> u64 {
+        self.ghr
+    }
+
+    /// The indirect path history captured: the path an indirect prediction
+    /// made right after this checkpoint read.
+    #[must_use]
+    pub fn path(&self) -> u64 {
+        self.path
+    }
+}
+
 /// The front end's one-stop prediction interface: YAGS directions, cascaded
 /// indirect targets, RAS returns, with checkpoint/restore of all speculative
 /// history.
@@ -166,6 +182,20 @@ mod tests {
         bu.restore(cp);
         assert_eq!(bu.checkpoint(), cp);
         assert_eq!(bu.predict_return(), 0x500);
+    }
+
+    #[test]
+    fn checkpoint_holds_the_history_the_next_prediction_reads() {
+        let mut bu = BranchUnit::paper_baseline();
+        for i in 0..40u64 {
+            let cp = bu.checkpoint();
+            let (_, ghr) = bu.predict_cond(0x100 + 8 * i);
+            assert_eq!(cp.ghr(), ghr);
+            bu.update_indirect(0x300, bu.checkpoint().path(), 0x4000 + 64 * i);
+            let cp = bu.checkpoint();
+            let (_, path) = bu.predict_indirect(0x300);
+            assert_eq!(cp.path(), path);
+        }
     }
 
     #[test]

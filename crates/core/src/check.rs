@@ -451,11 +451,8 @@ impl Machine {
             if flags != crate::window::F_ISSUABLE {
                 continue;
             }
-            let staged = self.ready_seqs.contains(&s)
-                || self
-                    .pending_issue
-                    .iter()
-                    .any(|&std::cmp::Reverse((_, q))| q == s);
+            let staged =
+                self.ready_seqs.contains(&s) || self.pending_issue.iter().any(|&(_, q)| q == s);
             if !staged {
                 out.push(CheckViolation {
                     rule: "wake-list-superset",

@@ -41,20 +41,16 @@ pub enum SrcState {
 pub struct PredInfo {
     /// Classification of the control transfer.
     pub kind: BranchKind,
-    /// Predictor checkpoint taken *before* this branch's prediction.
+    /// Predictor checkpoint taken *before* this branch's prediction. Its
+    /// global and path histories are the ones the prediction read, so
+    /// retirement trains the predictors with them.
     pub checkpoint: BranchCheckpoint,
     /// The PC fetch continued at after this branch.
     pub predicted_next: u64,
-    /// Predicted direction (conditional branches).
-    pub predicted_taken: bool,
-    /// Global-history value used for the direction prediction.
-    pub ghr_at_pred: u64,
-    /// Path-history value used for the indirect prediction.
-    pub path_at_pred: u64,
 }
 
-/// An instruction in the front end (fetched, not yet decoded into the
-/// window).
+/// An instruction in a context's front-end queue (fetched, not yet
+/// renamed into the window).
 #[derive(Debug, Clone)]
 pub struct FrontEndInst {
     /// Global fetch-order sequence number.
@@ -67,7 +63,8 @@ pub struct FrontEndInst {
     pub pal: bool,
     /// Branch-prediction state, if this is a control transfer.
     pub pred: Option<PredInfo>,
-    /// Cycle at which the instruction leaves the fetch pipe.
+    /// First cycle at which decode may take the instruction (the end of
+    /// the fetch pipe).
     pub ready_at: u64,
 }
 

@@ -1,7 +1,5 @@
 //! Issue/execute, completion and retirement phases.
 
-use std::cmp::Reverse;
-
 use smtx_isa::{BranchKind, FuClass, Op};
 use smtx_mem::Pte;
 
@@ -105,13 +103,13 @@ impl Machine {
         // executes here unparks its waiting loads into `unparked`; each is
         // younger than the store, so it lies ahead of the cursor and merges
         // into this same scan at its sequence position.
-        while let Some(&Reverse((at, _))) = self.pending_issue.peek() {
-            if at > now {
-                break;
+        let ready = &mut self.ready_seqs;
+        self.pending_issue.retain(|&(at, seq)| {
+            if at <= now {
+                ready.push(seq);
             }
-            let Reverse((_, seq)) = self.pending_issue.pop().expect("just peeked");
-            self.ready_seqs.push(seq);
-        }
+            at > now
+        });
         self.ready_seqs.sort_unstable();
         self.ready_seqs.dedup();
         let scan_all = self.config.limits.free_execute_bandwidth;
@@ -334,7 +332,7 @@ impl Machine {
     fn finish_exec(&mut self, seq: u64, result: u64, now: u64, latency: u64) {
         let i = self.window.get_mut(seq).expect("executing instruction present");
         i.result = result;
-        self.events.push(Reverse((now + latency, seq)));
+        self.events.push(now + latency, seq);
     }
 
     fn translate(&mut self, tid: usize, pal: bool, va: u64) -> Xlate {
@@ -425,7 +423,7 @@ impl Machine {
         i.mem_vaddr = Some(va);
         i.mem_paddr = pa;
         i.result = data;
-        self.events.push(Reverse((now + FuClass::Store.latency(), seq)));
+        self.events.push(now + FuClass::Store.latency(), seq);
         self.unpark_loads(tid, seq);
     }
 
@@ -434,26 +432,24 @@ impl Machine {
     // ================================================================
 
     pub(crate) fn process_completions(&mut self, now: u64) {
-        // Pass 1: drain every event due this cycle, drop stale ones (the
-        // slot probe rejects seqs that were squashed and refetched), and
-        // mark the survivors done up front. Batching the writebacks lets
-        // pass 2 apply all consumer wake-ups in one pop-ordered sweep.
+        // Pass 1: drain every event due this cycle in `(cycle, seq)` order,
+        // drop stale ones (the slot probe rejects seqs that were squashed
+        // and refetched), and mark the survivors done up front. Batching
+        // the writebacks lets pass 2 apply all consumer wake-ups in one
+        // sweep in that order.
         let mut batch = std::mem::take(&mut self.completion_scratch);
         batch.clear();
-        while let Some(&Reverse((cycle, _))) = self.events.peek() {
-            if cycle > now {
-                break;
-            }
-            let Reverse((_, seq)) = self.events.pop().expect("just peeked");
-            let Some((flags, _)) = self.window.issue_state(seq) else { continue };
+        self.events.drain_due(now, &mut batch);
+        batch.retain(|&seq| {
+            let Some((flags, _)) = self.window.issue_state(seq) else { return false };
             if flags & F_DONE != 0 || flags & F_ISSUED == 0 {
-                continue; // stale event (instruction was squashed and refetched)
+                return false; // stale event (instruction was squashed and refetched)
             }
             self.window.mark_done(seq);
-            batch.push(seq);
-        }
+            true
+        });
         // Pass 2: writeback, consumer wake-ups and op-specific actions, in
-        // the same pop order as the one-at-a-time loop this replaces. An
+        // the same order as the one-at-a-time loop this replaces. An
         // action can squash a later batch member (mispredict, escalation),
         // so each is re-validated on sight — a squashed seq emits nothing,
         // exactly as before.
@@ -651,13 +647,12 @@ impl Machine {
             return false;
         }
         let Some(&head) = t.rob.front() else { return false };
-        let inst = self.window.get(head).expect("rob head is live");
         if !self.window.is_done(head) {
             return false;
         }
         // The excepting instruction retires only after its handler has
         // retired in full (paper Fig. 1c).
-        if inst.handler_tid.is_some() {
+        if self.window.get(head).expect("rob head is live").handler_tid.is_some() {
             return false;
         }
         // A handler thread may retire only while its master is halted at
@@ -671,102 +666,107 @@ impl Machine {
 
     fn retire_one(&mut self, tid: usize, now: u64) {
         let seq = self.threads[tid].rob.pop_front().expect("head checked");
-        let inst = self.window.remove(seq).expect("head in window");
+        // Read what retirement needs in the slot, then release it: the
+        // record is never moved out (the sanitizer alone gets a copy).
+        let inst = self.window.get(seq).expect("head in window");
+        let (pc, pal, op, dest, result) = (inst.pc, inst.pal, inst.inst.op, inst.dest, inst.result);
+        let (pred, taken, actual_next, mem_paddr, caused_tlb_miss) =
+            (inst.pred, inst.taken, inst.actual_next, inst.mem_paddr, inst.caused_tlb_miss);
+        let checked = self.checker.is_some().then(|| inst.clone());
+        self.window.release(seq);
         if let Some(log) = &mut self.retire_log {
-            log.push(crate::machine::RetireEvent { tid, seq, pc: inst.pc, pal: inst.pal });
+            log.push(crate::machine::RetireEvent { tid, seq, pc, pal });
         }
         if self.tracer.is_some() {
-            self.emit(TraceEvent::Retire {
-                cycle: now,
-                tid: tid as u64,
-                seq,
-                pc: inst.pc,
-                pal: inst.pal,
-            });
+            self.emit(TraceEvent::Retire { cycle: now, tid: tid as u64, seq, pc, pal });
         }
         if self.threads[tid].is_handler() {
             self.handler_insts_in_window -= 1;
         }
         // Sanitizer hook *before* the commit: splice-order checks and the
         // lockstep oracle, which must observe the pre-commit register files.
-        if self.checker.is_some() {
+        if let Some(inst) = checked {
             self.check_retire(tid, &inst, now);
         }
 
         // Commit the destination and release the rename-map entry.
-        if let Some((class, idx)) = inst.dest {
-            self.threads[tid].set_committed(class, idx, inst.result);
+        if let Some((class, idx)) = dest {
+            self.threads[tid].set_committed(class, idx, result);
             if self.threads[tid].rmap(class, idx) == Some(seq) {
                 self.threads[tid].set_rmap(class, idx, None);
             }
         }
 
         // Stores commit their data to memory at retirement.
-        if inst.inst.op.is_store() {
+        if op.is_store() {
             let front = self.threads[tid].store_queue.pop_front();
             debug_assert_eq!(front, Some(seq), "store queue out of order");
-            if let Some(pa) = inst.mem_paddr {
-                self.pm.write_u64(pa, inst.result);
+            if let Some(pa) = mem_paddr {
+                self.pm.write_u64(pa, result);
                 self.check_page_table_write(pa, now);
             }
         }
 
-        // Train the predictors with architectural outcomes.
-        if let Some(pi) = inst.pred {
+        // Train the predictors with architectural outcomes, under the
+        // histories the predictions read (their checkpoints).
+        if let Some(pi) = pred {
             match pi.kind {
                 BranchKind::Conditional => {
-                    self.threads[tid].bu.update_cond(inst.pc, pi.ghr_at_pred, inst.taken);
+                    self.threads[tid].bu.update_cond(pc, pi.checkpoint.ghr(), taken);
                 }
                 BranchKind::Indirect => {
-                    self.threads[tid]
-                        .bu
-                        .update_indirect(inst.pc, pi.path_at_pred, inst.actual_next);
+                    self.threads[tid].bu.update_indirect(pc, pi.checkpoint.path(), actual_next);
                 }
                 BranchKind::Direct | BranchKind::Return => {}
             }
         }
 
-        match inst.inst.op {
+        // The PC after this instruction on the correct path. A retired
+        // control transfer's `actual_next` is always valid (set at
+        // execution, and instructions retire only once done).
+        let arch_next = if op.branch_kind().is_some() { actual_next } else { pc.wrapping_add(4) };
+        match op {
             // `result` carries the fill tag (set at completion).
             // Handler-thread fills commit when the handler releases.
             Op::Tlbwr if !self.threads[tid].is_handler() => {
-                self.dtlb.commit(inst.result);
+                self.dtlb.commit(result);
                 self.stats.fills_committed += 1;
             }
             Op::Rfe if self.threads[tid].is_handler() => {
                 self.release_handler(tid, true);
             }
             Op::Halt => {
-                self.count_retired(tid, &inst, now);
+                self.count_retired(tid, pal, caused_tlb_miss, arch_next, now);
                 self.freeze_thread(tid, now);
                 return;
             }
             _ => {}
         }
-        self.count_retired(tid, &inst, now);
+        self.count_retired(tid, pal, caused_tlb_miss, arch_next, now);
     }
 
-    fn count_retired(&mut self, tid: usize, inst: &crate::dyninst::DynInst, now: u64) {
-        if inst.caused_tlb_miss {
+    fn count_retired(
+        &mut self,
+        tid: usize,
+        pal: bool,
+        caused_tlb_miss: bool,
+        arch_next: u64,
+        now: u64,
+    ) {
+        if caused_tlb_miss {
             self.stats.threads[tid].tlb_miss_insts_retired += 1;
         }
-        if inst.pal {
+        if pal {
             self.threads[tid].retired_pal += 1;
             self.stats.threads[tid].retired_pal += 1;
         } else {
             // Track the committed architectural PC: where a functional
-            // checkpoint taken at this retirement boundary would resume. A
-            // retired control transfer's `actual_next` is always valid (set
-            // at execution, and instructions retire only once done). Only
-            // `epoch_reset` ever reads `arch_pc` after thread start, so the
-            // per-retire store is skipped when no epoch schedule is
+            // checkpoint taken at this retirement boundary would resume.
+            // Only `epoch_reset` ever reads `arch_pc` after thread start, so
+            // the per-retire store is skipped when no epoch schedule is
             // installed — keeping the common unscheduled path free of it.
             if self.epoch_len.is_some() {
-                self.threads[tid].arch_pc = if inst.inst.op.branch_kind().is_some() {
-                    inst.actual_next
-                } else {
-                    inst.pc.wrapping_add(4)
-                };
+                self.threads[tid].arch_pc = arch_next;
             }
             self.threads[tid].retired_user += 1;
             self.stats.threads[tid].retired_user += 1;

@@ -5,7 +5,7 @@
 //! page walks, duplicate-miss re-linking, reversion when no context is
 //! idle, and `HARDEXC` escalation.
 
-use smtx_isa::{Inst, PrivReg};
+use smtx_isa::PrivReg;
 use smtx_mem::{Pte, PAGE_SHIFT};
 
 use crate::config::ExnMechanism;
@@ -320,7 +320,7 @@ impl Machine {
             self.window.get_mut(exc_seq).expect("just probed").result = value;
             self.window.set_issued(exc_seq);
             self.window.clear_waiting(exc_seq);
-            self.events.push(std::cmp::Reverse((now + 1, exc_seq)));
+            self.events.push(now + 1, exc_seq);
         }
         // Drop the park entry so nothing re-wakes it spuriously.
         self.waiters.remove(key);
@@ -328,13 +328,14 @@ impl Machine {
 
     /// Quick-start (paper §5.4): the handler was prefetched into the idle
     /// context's fetch buffer, so it skips the fetch pipe (and fetch
-    /// bandwidth) but still pays decode and scheduling latency.
+    /// bandwidth) but still pays decode and scheduling latency: staged
+    /// entries are decodable at once (`ready_at = now`).
     fn stage_handler(&mut self, handler_tid: usize, now: u64, base: u64, len: usize) {
         let staged = self.predecode_handler(handler_tid, base, len);
         let t = &mut self.threads[handler_tid];
         for mut fe in staged {
             fe.ready_at = now;
-            t.fetch_buffer.push_back(fe);
+            t.frontend.push_back(fe);
         }
         t.fetch_stopped = true; // nothing left to fetch
     }
@@ -345,11 +346,11 @@ impl Machine {
         let staged = self.predecode_handler(handler_tid, base, len);
         for fe in staged {
             if self.occupancy() >= self.config.window {
-                // Degrade gracefully: stage the rest in the fetch buffer.
+                // Degrade gracefully: stage the rest in the front end.
                 let t = &mut self.threads[handler_tid];
                 let mut fe = fe;
                 fe.ready_at = now;
-                t.fetch_buffer.push_back(fe);
+                t.frontend.push_back(fe);
                 continue;
             }
             self.insert_window_at(handler_tid, &fe, now + 1);
@@ -374,7 +375,7 @@ impl Machine {
                 break;
             }
             let word = self.pm.read_u32(pc);
-            let Ok(inst) = Inst::decode(word) else { break };
+            let Some(inst) = self.decoded.decode(pc, word) else { break };
             let seq = self.next_seq;
             self.next_seq += 1;
             // Prediction runs exactly as in a real fetch, so quick-start

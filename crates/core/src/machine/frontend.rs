@@ -1,11 +1,55 @@
 //! Fetch and decode/rename phases.
 
 use smtx_isa::{BranchKind, Inst, Op};
+use smtx_mem::{PAGE_MASK, PAGE_SIZE};
 use crate::dyninst::{operands, DynInst, FrontEndInst, PredInfo, SrcState};
 use crate::exec;
 use crate::machine::Machine;
 use crate::thread::ThreadState;
 use crate::trace::{SquashCause, TraceEvent};
+
+/// Instruction slots per code frame, one per 4-byte word.
+const SLOTS: usize = (PAGE_SIZE / 4) as usize;
+
+/// A decoded word: the word and its decode (`None` if it does not decode).
+type Slot = (u32, Option<Inst>);
+
+/// Decoded instruction words by physical code frame, shared by every
+/// context's fetch.
+///
+/// Fetch still reads each word from memory, and a slot answers only when
+/// the word it was decoded from equals the word just read. A store, a
+/// checkpoint restore or a page-table remap therefore can never serve a
+/// stale decode, and the table needs no invalidation rule.
+#[derive(Debug, Default)]
+pub(crate) struct DecodeTable {
+    /// `(frame base, slots)`: `slots[i]` is the word last decoded at
+    /// `base + 4 * i`.
+    frames: Vec<(u64, Box<[Slot]>)>,
+    /// Index in `frames` of the most recently used frame.
+    last: usize,
+}
+
+impl DecodeTable {
+    /// `Inst::decode(word).ok()` for the word just read at physical
+    /// address `pa`.
+    pub(crate) fn decode(&mut self, pa: u64, word: u32) -> Option<Inst> {
+        let base = pa & !PAGE_MASK;
+        if self.frames.get(self.last).is_none_or(|&(b, _)| b != base) {
+            self.last = self.frames.iter().position(|&(b, _)| b == base).unwrap_or_else(|| {
+                // Every slot starts as the (exact) decode of word 0.
+                let blank = (0, Inst::decode(0).ok());
+                self.frames.push((base, vec![blank; SLOTS].into_boxed_slice()));
+                self.frames.len() - 1
+            });
+        }
+        let slot = &mut self.frames[self.last].1[((pa & PAGE_MASK) / 4) as usize];
+        if slot.0 != word {
+            *slot = (word, Inst::decode(word).ok());
+        }
+        slot.1
+    }
+}
 
 impl Machine {
     // ================================================================
@@ -19,7 +63,7 @@ impl Machine {
             && !t.fetch_stopped
             && t.redirect_wait.is_none()
             && t.fetch_stalled_until <= now
-            && t.fetch_pipe.len() + t.fetch_buffer.len() < self.config.fetch_buffer
+            && t.frontend.len() < self.config.fetch_buffer
     }
 
     /// The ICOUNT fetch chooser (paper §4.4): the fetchable thread with the
@@ -108,7 +152,7 @@ impl Machine {
             }
 
             let word = self.pm.read_u32(pa);
-            let Ok(mut inst) = Inst::decode(word) else {
+            let Some(mut inst) = self.decoded.decode(pa, word) else {
                 // Garbage on a wrong path: stop fetching until redirected.
                 self.threads[tid].fetch_stopped = true;
                 break;
@@ -123,7 +167,7 @@ impl Machine {
             let seq = self.next_seq;
             self.next_seq += 1;
             let (pred, next_pc, stop) = self.predict_next(tid, pc, &inst, seq);
-            self.threads[tid].fetch_pipe.push_back(FrontEndInst {
+            self.threads[tid].frontend.push_back(FrontEndInst {
                 seq,
                 pc,
                 inst,
@@ -171,83 +215,33 @@ impl Machine {
                 t.redirect_wait = Some(seq);
                 (None, fallthrough, true)
             }
-            _ => match inst.op.branch_kind() {
-                None => (None, fallthrough, false),
-                Some(BranchKind::Direct) => {
-                    let checkpoint = self.threads[tid].bu.checkpoint();
-                    let target = exec::direct_target(pc, inst.imm);
-                    if inst.op.is_call() {
-                        self.threads[tid].bu.push_return(fallthrough);
+            _ => {
+                let Some(kind) = inst.op.branch_kind() else {
+                    return (None, fallthrough, false);
+                };
+                let bu = &mut self.threads[tid].bu;
+                let checkpoint = bu.checkpoint();
+                let target = match kind {
+                    BranchKind::Direct => Some(exec::direct_target(pc, inst.imm)),
+                    BranchKind::Conditional => {
+                        let taken = bu.predict_cond(pc).0;
+                        Some(if taken { exec::direct_target(pc, inst.imm) } else { fallthrough })
                     }
-                    let pred = PredInfo {
-                        kind: BranchKind::Direct,
-                        checkpoint,
-                        predicted_next: target,
-                        predicted_taken: true,
-                        ghr_at_pred: 0,
-                        path_at_pred: 0,
-                    };
-                    (Some(pred), target, false)
+                    BranchKind::Indirect => bu.predict_indirect(pc).0,
+                    BranchKind::Return => Some(bu.predict_return()),
+                };
+                if inst.op.is_call() {
+                    bu.push_return(fallthrough);
                 }
-                Some(BranchKind::Conditional) => {
-                    let checkpoint = self.threads[tid].bu.checkpoint();
-                    let (taken, ghr) = self.threads[tid].bu.predict_cond(pc);
-                    let target = if taken {
-                        exec::direct_target(pc, inst.imm)
-                    } else {
-                        fallthrough
-                    };
-                    let pred = PredInfo {
-                        kind: BranchKind::Conditional,
-                        checkpoint,
-                        predicted_next: target,
-                        predicted_taken: taken,
-                        ghr_at_pred: ghr,
-                        path_at_pred: 0,
-                    };
-                    (Some(pred), target, false)
-                }
-                Some(BranchKind::Indirect) => {
-                    let checkpoint = self.threads[tid].bu.checkpoint();
-                    let (target, path) = self.threads[tid].bu.predict_indirect(pc);
-                    if inst.op.is_call() {
-                        self.threads[tid].bu.push_return(fallthrough);
-                    }
-                    match target {
-                        Some(target) => {
-                            let pred = PredInfo {
-                                kind: BranchKind::Indirect,
-                                checkpoint,
-                                predicted_next: target,
-                                predicted_taken: true,
-                                ghr_at_pred: 0,
-                                path_at_pred: path,
-                            };
-                            (Some(pred), target, false)
-                        }
-                        None => {
-                            // Cold indirect: stall fetch until it executes.
-                            let t = &mut self.threads[tid];
-                            t.fetch_stopped = true;
-                            t.redirect_wait = Some(seq);
-                            (None, fallthrough, true)
-                        }
-                    }
-                }
-                Some(BranchKind::Return) => {
-                    let checkpoint = self.threads[tid].bu.checkpoint();
-                    let target = self.threads[tid].bu.predict_return();
-                    let pred = PredInfo {
-                        kind: BranchKind::Return,
-                        checkpoint,
-                        predicted_next: target,
-                        predicted_taken: true,
-                        ghr_at_pred: 0,
-                        path_at_pred: 0,
-                    };
-                    (Some(pred), target, false)
-                }
-            },
+                let Some(target) = target else {
+                    // Cold indirect: stall fetch until it executes.
+                    let t = &mut self.threads[tid];
+                    t.fetch_stopped = true;
+                    t.redirect_wait = Some(seq);
+                    return (None, fallthrough, true);
+                };
+                (Some(PredInfo { kind, checkpoint, predicted_next: target }), target, false)
+            }
         }
     }
 
@@ -256,22 +250,15 @@ impl Machine {
     // ================================================================
 
     pub(crate) fn decode_phase(&mut self, now: u64) {
-        // Advance the fetch pipe into each thread's fetch buffer.
-        for t in &mut self.threads {
-            while let Some(front) = t.fetch_pipe.front() {
-                if front.ready_at > now || t.fetch_buffer.len() >= self.config.fetch_buffer {
-                    break;
-                }
-                let fe = t.fetch_pipe.pop_front().expect("just peeked");
-                t.fetch_buffer.push_back(fe);
-            }
-        }
-
         // Decode order: handler threads first (their instructions must
-        // retire before everything younger), then ICOUNT order.
+        // retire before everything younger), then ICOUNT order. A thread
+        // with no decodable front would stop at once, so it is left out;
+        // no insertion can give it one this cycle.
         let mut order = std::mem::take(&mut self.scratch_order);
         order.clear();
-        order.extend(0..self.threads.len());
+        order.extend(
+            (0..self.threads.len()).filter(|&tid| self.threads[tid].decodable_front(now)),
+        );
         order.sort_by_key(|&tid| {
             let t = &self.threads[tid];
             (!t.is_handler(), t.inflight(), tid)
@@ -284,14 +271,10 @@ impl Machine {
                 if budget == 0 && !free {
                     break;
                 }
-                let Some(front) = self.threads[tid].fetch_buffer.front() else { break };
-                if front.ready_at > now {
+                if !self.threads[tid].decodable_front(now) || !self.may_insert(tid, now) {
                     break;
                 }
-                if !self.may_insert(tid, now) {
-                    break;
-                }
-                let fe = self.threads[tid].fetch_buffer.pop_front().expect("just peeked");
+                let fe = self.threads[tid].frontend.pop_front().expect("decodable front");
                 self.insert_window(tid, &fe, now);
                 if !free {
                     budget -= 1;
@@ -409,7 +392,7 @@ impl Machine {
         // until its scheduling delay elapses (otherwise the last operand
         // completion puts it on the wake-up list).
         if di.srcs_ready() {
-            self.pending_issue.push(std::cmp::Reverse((earliest_issue, fe.seq)));
+            self.pending_issue.push((earliest_issue, fe.seq));
         }
         self.window.insert(di, earliest_issue);
         if self.tracer.is_some() {
@@ -424,5 +407,55 @@ impl Machine {
         if self.checker.is_some() {
             self.check_admission(tid, fe.seq, self.cycle);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smtx_rng::rngs::StdRng;
+    use smtx_rng::{RngCore, SeedableRng};
+
+    #[test]
+    fn decode_table_matches_inst_decode_for_random_words() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut table = DecodeTable::default();
+        let (mut good, mut bad) = (0, 0);
+        for _ in 0..20_000 {
+            // A few frames and a few slots each, so slots are revisited
+            // with both equal and different words.
+            let pa = (rng.next_u64() % 3) * PAGE_SIZE + (rng.next_u64() % 64) * 4;
+            let word = match rng.next_u64() % 4 {
+                0 => 0,
+                1 => (rng.next_u64() % 8) as u32,
+                _ => rng.next_u64() as u32,
+            };
+            let want = Inst::decode(word).ok();
+            assert_eq!(table.decode(pa, word), want, "word {word:#010x} at {pa:#x}");
+            if want.is_some() {
+                good += 1;
+            } else {
+                bad += 1;
+            }
+        }
+        assert!(good > 1_000 && bad > 1_000, "both outcomes exercised: {good} good, {bad} bad");
+    }
+
+    #[test]
+    fn decode_table_follows_a_rewritten_word() {
+        let mut table = DecodeTable::default();
+        let pa = 0x5_0000 + 0x1c;
+        let add = Inst::r(Op::Add, 1, 2, 3);
+        let ldi = Inst::i(Op::Ldi, 0, 4, -7);
+        let halt = Inst::n(Op::Halt);
+        for inst in [add, ldi, add, halt] {
+            let word = inst.encode().expect("encodes");
+            assert_eq!(table.decode(pa, word), Some(inst));
+            assert_eq!(table.decode(pa, word), Some(inst), "cached slot");
+        }
+        let garbage = u32::MAX;
+        assert_eq!(table.decode(pa, garbage), Inst::decode(garbage).ok());
+        let word = add.encode().expect("encodes");
+        assert_eq!(table.decode(pa, word), Some(add));
     }
 }

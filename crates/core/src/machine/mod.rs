@@ -10,9 +10,6 @@ mod backend;
 mod exn;
 mod frontend;
 
-use std::collections::BinaryHeap;
-use std::cmp::Reverse;
-
 use smtx_isa::Program;
 use smtx_mem::{AddressSpace, Asid, MemorySystem, PhysAlloc, PhysMem, Tlb, PAGE_SIZE};
 
@@ -22,7 +19,9 @@ use crate::dyninst::PredInfo;
 use crate::stats::Stats;
 use crate::thread::{ThreadContext, ThreadState};
 use crate::trace::{SquashCause, TraceEvent, TraceSink};
-use crate::window::{WaiterMap, Window, F_ISSUABLE};
+use crate::window::{EventCalendar, WaiterMap, Window, F_ISSUABLE};
+
+use frontend::DecodeTable;
 
 /// What an active handler is servicing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,8 +100,8 @@ pub struct Machine {
     /// Handler-thread instructions currently in the window (for the
     /// free-window limit knob).
     pub(crate) handler_insts_in_window: usize,
-    /// Completion events: (cycle, seq).
-    pub(crate) events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Completion events `(cycle, seq)` on a 64-cycle calendar.
+    pub(crate) events: EventCalendar,
     /// Loads/stores waiting on a TLB fill, by (asid, vpn): a short linear
     /// map with pooled waiter lists; wake order comes from the per-key
     /// list, deterministic by construction.
@@ -138,14 +137,16 @@ pub struct Machine {
     /// Instructions renamed with all operands already resolved, staged as
     /// `(earliest_issue, seq)` until their scheduling delay elapses — they
     /// would otherwise sit in `ready_seqs` for `issue_delay` cycles being
-    /// re-validated for nothing. The issue phase drains due entries into
-    /// `ready_seqs`; stale (squashed) entries are caught by the same
-    /// re-validation there.
-    pub(crate) pending_issue: BinaryHeap<Reverse<(u64, u64)>>,
+    /// re-validated for nothing. The issue phase moves due entries into
+    /// `ready_seqs`, which it then sorts, so this needs no order; stale
+    /// (squashed) entries are caught by the re-validation there.
+    pub(crate) pending_issue: Vec<(u64, u64)>,
     /// Loads unparked during the running issue scan by a store resolving
     /// its address, sorted descending, merged into that scan in sequence
     /// order; empty between scans.
     pub(crate) unparked: Vec<u64>,
+    /// Decoded instruction words by physical code frame (fetch).
+    pub(crate) decoded: DecodeTable,
     /// Reused per-cycle scratch for the decode-order thread list.
     pub(crate) scratch_order: Vec<usize>,
     /// Reused per-cycle scratch: sequence numbers completed in pass 1 of
@@ -221,7 +222,7 @@ impl Machine {
             spaces: Vec::new(),
             window,
             handler_insts_in_window: 0,
-            events: BinaryHeap::new(),
+            events: EventCalendar::new(),
             waiters: WaiterMap::new(),
             handlers: Vec::new(),
             walks: Vec::new(),
@@ -233,8 +234,9 @@ impl Machine {
             skipped_cycles: 0,
             retire_log: None,
             ready_seqs: Vec::new(),
-            pending_issue: BinaryHeap::new(),
+            pending_issue: Vec::new(),
             unparked: Vec::new(),
+            decoded: DecodeTable::default(),
             scratch_order: Vec::new(),
             completion_scratch: Vec::new(),
             consumer_scratch: Vec::new(),
@@ -564,7 +566,7 @@ impl Machine {
     ///
     /// Soundness rests on one invariant of the model: between events, every
     /// phase gates on thresholds (`ready_at`, `earliest_issue`, `done_at`,
-    /// `fetch_stalled_until`, the event heap) that only *pass* as `now`
+    /// `fetch_stalled_until`, the event calendar) that only *pass* as `now`
     /// advances, and the memory system mutates only when accessed. So if no
     /// gate passes at `now`, stepping is a no-op (modulo the cycle counter
     /// and `handler_active_cycles`, which the skip accounts for) until the
@@ -574,7 +576,7 @@ impl Machine {
         let mut wake = u64::MAX;
 
         // Completion events.
-        if let Some(&Reverse((at, _))) = self.events.peek() {
+        if let Some(at) = self.events.earliest() {
             if at <= now {
                 return None;
             }
@@ -609,25 +611,16 @@ impl Machine {
             if matches!(t.state, ThreadState::Run | ThreadState::Exception { .. })
                 && !t.fetch_stopped
                 && t.redirect_wait.is_none()
-                && t.fetch_pipe.len() + t.fetch_buffer.len() < self.config.fetch_buffer
+                && t.frontend.len() < self.config.fetch_buffer
                 && t.fetch_stalled_until > now
             {
                 wake = wake.min(t.fetch_stalled_until);
             }
         }
 
-        // Decode: fetch-pipe fronts draining into the buffer, and buffer
-        // fronts entering the window.
+        // Decode: front-end fronts entering the window.
         for (tid, t) in self.threads.iter().enumerate() {
-            if let Some(front) = t.fetch_pipe.front() {
-                if t.fetch_buffer.len() < self.config.fetch_buffer {
-                    if front.ready_at <= now {
-                        return None;
-                    }
-                    wake = wake.min(front.ready_at);
-                }
-            }
-            if let Some(front) = t.fetch_buffer.front() {
+            if let Some(front) = t.frontend.front() {
                 // Handler insertion can mutate state even when it fails
                 // (the §4.4 deadlock-avoidance squash), so a ready handler
                 // front always blocks skipping. Non-handlers are pure
@@ -648,14 +641,14 @@ impl Machine {
         // Issue: anything that could enter the candidate scan. Sources and
         // TLB-wait status only change at rename or completion time, so a
         // not-ready instruction stays not-ready until a tracked event.
-        // `ready_seqs` plus the staged `pending_issue` heap form a superset
+        // `ready_seqs` plus the staged `pending_issue` list form a superset
         // of those candidates by construction; re-validating each entry
         // here gives the same answer as a full window scan. A stale staged
         // entry can only make the wake *earlier* — conservative, so safe.
         // Loads parked behind an unresolved store are on neither: they
         // unpark only when that store executes, and the store is itself an
         // issue candidate or waits on an event counted above.
-        if let Some(&Reverse((at, _))) = self.pending_issue.peek() {
+        for &(at, _) in &self.pending_issue {
             if at <= now {
                 return None;
             }
@@ -744,44 +737,45 @@ impl Machine {
         let mut oldest: Option<(u64, PredInfo)> = None;
 
         // Front end first (all entries are the thread's youngest).
-        let mut squashed_frontend = 0u64;
-        {
-            let t = &mut self.threads[tid];
-            for q in [&mut t.fetch_pipe, &mut t.fetch_buffer] {
-                while let Some(back) = q.back() {
-                    if back.seq < from_seq {
-                        break;
-                    }
-                    note_pred(&back.pred, back.seq, &mut oldest);
-                    q.pop_back();
-                    squashed_frontend += 1;
-                }
+        let t = &mut self.threads[tid];
+        while let Some(back) = t.frontend.back() {
+            if back.seq < from_seq {
+                break;
             }
+            note_pred(&back.pred, back.seq, &mut oldest);
+            t.frontend.pop_back();
+            self.stats.squashed_insts += 1;
         }
-        self.stats.squashed_insts += squashed_frontend;
 
-        // Window entries, youngest first, restoring rename state.
+        // Window entries, youngest first, restoring rename state. Each is
+        // read in its slot and then released, never moved out.
         let mut released_handlers: Vec<usize> = Vec::new();
         while let Some(&back) = self.threads[tid].rob.back() {
             if back < from_seq {
                 break;
             }
             self.threads[tid].rob.pop_back();
-            let inst = self.window.remove(back).expect("rob entry in window");
+            let inst = self.window.get(back).expect("rob entry in window");
+            let (pred, dest, prev_writer, is_store, handler_tid) =
+                (inst.pred, inst.dest, inst.prev_writer, inst.inst.op.is_store(), inst.handler_tid);
+            self.window.release(back);
             if self.threads[tid].is_handler() {
                 self.handler_insts_in_window -= 1;
             }
-            note_pred(&inst.pred, inst.seq, &mut oldest);
-            if let Some((class, idx)) = inst.dest {
+            note_pred(&pred, back, &mut oldest);
+            if let Some((class, idx)) = dest {
                 if self.threads[tid].rmap(class, idx) == Some(back) {
-                    let prev = inst.prev_writer.filter(|&p| self.window.contains(p));
+                    let prev = prev_writer.filter(|&p| self.window.contains(p));
                     self.threads[tid].set_rmap(class, idx, prev);
                 }
             }
-            if inst.inst.op.is_store() {
-                self.threads[tid].store_queue.retain(|&s| s != back);
+            if is_store {
+                // Stores join the queue at rename and squash walks the rob
+                // youngest first, so this store is the queue's youngest.
+                let youngest = self.threads[tid].store_queue.pop_back();
+                debug_assert_eq!(youngest, Some(back), "store queue out of order");
             }
-            if let Some(h) = inst.handler_tid {
+            if let Some(h) = handler_tid {
                 released_handlers.push(h);
             }
             self.stats.squashed_insts += 1;

@@ -26,8 +26,8 @@ pub enum ThreadState {
     Halted,
 }
 
-/// All per-context state: committed register files, rename maps, front-end
-/// queues, fetch control and the store queue.
+/// All per-context state: committed register files, rename maps, the
+/// front-end queue, fetch control and the store queue.
 #[derive(Debug, Clone)]
 pub struct ThreadContext {
     /// Lifecycle state.
@@ -71,12 +71,14 @@ pub struct ThreadContext {
     /// Last I-cache line fetch touched (a new access is charged per line).
     pub last_ifetch_line: Option<u64>,
 
-    // ---- front-end queues ----
-    /// Instructions in the fetch pipe (become visible after `ready_at`).
-    pub fetch_pipe: VecDeque<FrontEndInst>,
-    /// Fetched instructions awaiting decode. Quick-start stages handler
-    /// code here while the context idles (paper §5.4).
-    pub fetch_buffer: VecDeque<FrontEndInst>,
+    // ---- front end ----
+    /// Fetched instructions awaiting decode, in fetch order: the fetch
+    /// pipe and the fetch buffer as one queue. An entry is in the pipe
+    /// until its `ready_at`, then in the buffer; `ready_at` never decreases
+    /// along the queue, so decode takes fronts with `ready_at <= now`.
+    /// Quick-start stages handler code here while the context idles
+    /// (paper §5.4).
+    pub frontend: VecDeque<FrontEndInst>,
 
     // ---- rename state ----
     /// Last in-flight writer per user integer register.
@@ -129,8 +131,7 @@ impl ThreadContext {
             fetch_stopped: true,
             redirect_wait: None,
             last_ifetch_line: None,
-            fetch_pipe: VecDeque::new(),
-            fetch_buffer: VecDeque::new(),
+            frontend: VecDeque::new(),
             rmap_int: [None; 32],
             rmap_fp: [None; 32],
             rmap_shadow: [None; 32],
@@ -149,7 +150,13 @@ impl ThreadContext {
     /// fetch-priority metric (paper §4.4).
     #[must_use]
     pub fn inflight(&self) -> usize {
-        self.fetch_pipe.len() + self.fetch_buffer.len() + self.rob.len()
+        self.frontend.len() + self.rob.len()
+    }
+
+    /// Whether the oldest front-end entry has left the fetch pipe by `now`.
+    #[must_use]
+    pub(crate) fn decodable_front(&self, now: u64) -> bool {
+        self.frontend.front().is_some_and(|fe| fe.ready_at <= now)
     }
 
     /// Whether this context is running an exception handler.
@@ -224,8 +231,7 @@ impl ThreadContext {
     /// clean committed-state-only view (used when a handler context is
     /// released or a thread is frozen).
     pub fn clear_inflight(&mut self) {
-        self.fetch_pipe.clear();
-        self.fetch_buffer.clear();
+        self.frontend.clear();
         self.rmap_int = [None; 32];
         self.rmap_fp = [None; 32];
         self.rmap_shadow = [None; 32];

@@ -24,6 +24,9 @@
 //! survives slot recycling, which removes the last per-instruction heap
 //! allocation from the fetch→retire path.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use smtx_mem::Asid;
 use smtx_util::InlineVec;
 
@@ -63,7 +66,9 @@ pub struct Window {
     earliest: Vec<u64>,
     /// SoA: `F_*` bits per slot.
     flags: Vec<u8>,
-    /// The full per-instruction record (non-scheduler fields).
+    /// The full per-instruction record (non-scheduler fields). Only
+    /// slots `seqs` marks live are meaningful: [`Window::release`] leaves
+    /// the dead record in place.
     insts: Vec<Option<DynInst>>,
     /// Consumers of the slot's instruction as a producer:
     /// `(consumer seq, operand slot)` in rename order.
@@ -159,15 +164,18 @@ impl Window {
         }
     }
 
-    /// Removes `seq`, returning its record. The slot's consumer list is
-    /// cleared (spill capacity retained for the next occupant).
-    pub fn remove(&mut self, seq: u64) -> Option<DynInst> {
-        let i = self.slot_of(seq)?;
+    /// Vacates `seq`'s slot in place, returning whether it was live.
+    /// Nothing is moved out: callers read what they need through
+    /// [`Window::get`] first, and the dead record stays in the slot until
+    /// the next insert overwrites it. The slot's consumer list is cleared
+    /// (spill capacity retained for the next occupant).
+    pub fn release(&mut self, seq: u64) -> bool {
+        let Some(i) = self.slot_of(seq) else { return false };
         self.seqs[i] = EMPTY;
         self.flags[i] = 0;
         self.consumers[i].clear();
         self.len -= 1;
-        self.insts[i].take()
+        true
     }
 
     /// Doubles the ring, re-placing every live entry by the new mask.
@@ -354,6 +362,110 @@ impl Window {
     }
 }
 
+/// Cycles the completion calendar covers with buckets; later events wait
+/// in a heap.
+const HORIZON: u64 = 64;
+
+/// Completion events `(cycle, seq)`, drained in exactly `(cycle, seq)`
+/// order like the binary heap it replaces, but on a calendar: one bucket
+/// per `cycle % 64` for the 64 cycles from `base`, an occupancy mask that
+/// finds the earliest event in one instruction, and a heap only for events
+/// 64 or more cycles out (memory misses). Pushes must not lie before the
+/// last drained cycle, which holds because every latency is at least one.
+#[derive(Debug)]
+pub(crate) struct EventCalendar {
+    /// `near[c % 64]` holds the seqs completing at cycle `c`, for `c` in
+    /// `[base, base + 64)`, unsorted.
+    near: [Vec<u64>; HORIZON as usize],
+    /// Bit `b` set iff `near[b]` is non-empty.
+    occupied: u64,
+    /// Events at `base + 64` or later.
+    far: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Every event before this cycle has been drained.
+    base: u64,
+}
+
+impl EventCalendar {
+    /// Creates an empty calendar starting at cycle 0.
+    #[must_use]
+    pub(crate) fn new() -> EventCalendar {
+        EventCalendar {
+            near: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            far: BinaryHeap::new(),
+            base: 0,
+        }
+    }
+
+    /// Schedules `seq` to complete at `cycle`.
+    pub(crate) fn push(&mut self, cycle: u64, seq: u64) {
+        debug_assert!(cycle >= self.base, "event at {cycle} before drained cycle {}", self.base);
+        if cycle < self.base + HORIZON {
+            let b = (cycle % HORIZON) as usize;
+            self.near[b].push(seq);
+            self.occupied |= 1 << b;
+        } else {
+            self.far.push(Reverse((cycle, seq)));
+        }
+    }
+
+    /// The cycle of the earliest pending event.
+    #[must_use]
+    pub(crate) fn earliest(&self) -> Option<u64> {
+        if self.occupied != 0 {
+            // Rotate so bit 0 is `base`'s bucket: the lowest set bit is then
+            // the earliest near cycle, and every far event is later.
+            let rel = self.occupied.rotate_right((self.base % HORIZON) as u32);
+            return Some(self.base + u64::from(rel.trailing_zeros()));
+        }
+        self.far.peek().map(|&Reverse((cycle, _))| cycle)
+    }
+
+    /// Appends the seqs of every event at or before `now` to `out`, in
+    /// `(cycle, seq)` order, and removes them.
+    pub(crate) fn drain_due(&mut self, now: u64, out: &mut Vec<u64>) {
+        if now < self.base {
+            return;
+        }
+        let span = (now - self.base).min(HORIZON - 1) + 1;
+        let window = if span == HORIZON { u64::MAX } else { (1 << span) - 1 };
+        let mut due = self.occupied.rotate_right((self.base % HORIZON) as u32) & window;
+        while due != 0 {
+            let b = ((self.base + u64::from(due.trailing_zeros())) % HORIZON) as usize;
+            let bucket = &mut self.near[b];
+            bucket.sort_unstable();
+            out.append(bucket);
+            self.occupied &= !(1 << b);
+            due &= due - 1;
+        }
+        while let Some(&Reverse((cycle, seq))) = self.far.peek() {
+            if cycle > now {
+                break;
+            }
+            self.far.pop();
+            out.push(seq);
+        }
+        self.base = now + 1;
+        // Far events now inside the horizon move to their buckets.
+        while let Some(&Reverse((cycle, seq))) = self.far.peek() {
+            if cycle >= self.base + HORIZON {
+                break;
+            }
+            self.far.pop();
+            self.push(cycle, seq);
+        }
+    }
+
+    /// Drops every pending event (epoch reset).
+    pub(crate) fn clear(&mut self) {
+        for bucket in &mut self.near {
+            bucket.clear();
+        }
+        self.occupied = 0;
+        self.far.clear();
+    }
+}
+
 /// Loads/stores parked on an in-flight TLB fill, keyed by `(asid, vpn)` —
 /// a short linear map (a handful of fills are ever outstanding) with
 /// pooled [`InlineVec`] waiter lists, so park/wake churn recycles
@@ -454,7 +566,7 @@ mod tests {
         // 3 + 8 maps to the same slot but is a different instruction.
         assert!(!w.contains(11));
         assert!(w.get(11).is_none());
-        assert!(w.remove(11).is_none());
+        assert!(!w.release(11));
         assert_eq!(w.len(), 1);
     }
 
@@ -499,12 +611,74 @@ mod tests {
         w.take_consumers_into(1, &mut out);
         assert_eq!(out.len(), 10);
         assert_eq!(out[0], (2, 0));
-        let _ = w.remove(1);
+        assert!(w.release(1));
         // Same slot, next lap of the ring.
         w.insert(di(9), 0);
         out.clear();
         w.take_consumers_into(9, &mut out);
         assert!(out.is_empty());
+    }
+
+    /// Drives an [`EventCalendar`] and a `BinaryHeap` reference with one
+    /// seeded stream: pushes 1..=300 cycles out, duplicate seqs, and drains
+    /// every cycle (even seeds) or after jumps to the earliest event, now
+    /// and then past it (odd seeds). Every drain and every `earliest` must
+    /// agree. Seeds 0..8 encode the cycle in the seq, so equal seq lists
+    /// mean equal `(cycle, seq)` lists; seeds 8.. draw seqs from a small
+    /// pool, so duplicates abound.
+    #[test]
+    fn event_calendar_drains_exactly_like_a_binary_heap() {
+        use smtx_rng::rngs::StdRng;
+        use smtx_rng::{RngExt, SeedableRng};
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cal = EventCalendar::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut now = 0u64;
+            let mut drained = 0;
+            for _ in 0..3_000 {
+                got.clear();
+                want.clear();
+                cal.drain_due(now, &mut got);
+                while let Some(&Reverse((cycle, seq))) = heap.peek() {
+                    if cycle > now {
+                        break;
+                    }
+                    heap.pop();
+                    want.push(seq);
+                }
+                assert_eq!(got, want, "seed {seed}: drain at cycle {now}");
+                drained += got.len();
+                let earliest =
+                    |h: &BinaryHeap<Reverse<(u64, u64)>>| h.peek().map(|&Reverse((c, _))| c);
+                assert_eq!(cal.earliest(), earliest(&heap), "seed {seed}: after drain at {now}");
+                for _ in 0..rng.random_range(0..5u32) {
+                    let cycle = now + rng.random_range(1..301u64);
+                    let seq = if seed < 8 {
+                        cycle << 8 | rng.random_range(0..4u64)
+                    } else {
+                        rng.random_range(0..16u64)
+                    };
+                    cal.push(cycle, seq);
+                    heap.push(Reverse((cycle, seq)));
+                }
+                assert_eq!(cal.earliest(), earliest(&heap), "seed {seed}: after pushes at {now}");
+                now = match (seed % 2, earliest(&heap)) {
+                    (0, _) | (_, None) => now + 1,
+                    (_, Some(at)) if rng.random_range(0..4u32) == 0 => {
+                        at + rng.random_range(0..150u64)
+                    }
+                    (_, Some(at)) => at,
+                };
+            }
+            got.clear();
+            cal.drain_due(now + 400, &mut got);
+            assert_eq!(got.len(), heap.len(), "seed {seed}: final drain");
+            assert!(drained > 1_000, "seed {seed}: only {drained} events drained");
+            cal.clear();
+            assert_eq!(cal.earliest(), None);
+        }
     }
 
     #[test]

@@ -228,8 +228,8 @@ fn run_episode(seed: u64, steps: usize) {
                 {
                     let doomed: Vec<u64> = model.range(pivot..).map(|(&s, _)| s).collect();
                     for &s in doomed.iter().rev() {
-                        let got = w.remove(s).expect("squash target is live");
-                        assert_eq!(got.seq, s);
+                        assert_eq!(w.get(s).map(|d| d.seq), Some(s), "squash target is live");
+                        assert!(w.release(s));
                         model.remove(&s);
                     }
                 }
@@ -238,14 +238,15 @@ fn run_episode(seed: u64, steps: usize) {
             _ => {
                 if let Some((&head, m)) = model.iter().next() {
                     if m.flags & F_DONE != 0 {
-                        let got = w.remove(head).expect("head is live");
+                        let got = w.get(head).expect("head is live");
                         assert_eq!(got.seq, head);
                         assert_eq!(got.result, m.di.result);
+                        assert!(w.release(head));
                         model.remove(&head);
                     }
                 }
-                // Removing a dead seq answers None.
-                assert!(w.remove(next_seq + 3).is_none());
+                // Releasing a dead seq answers false.
+                assert!(!w.release(next_seq + 3));
             }
         }
         if step % 7 == 0 {

@@ -175,6 +175,24 @@ fn fig5_work_counts_are_exact_and_job_count_independent() {
     }
 }
 
+/// Table 4's "Perfect" column is the canonical perfect-TLB baseline that
+/// Fig. 5 already ran: after Fig. 5 on one runner, Table 4 adds only its
+/// two quick-start columns (16 runs over eight kernels), not a second
+/// perfect run per kernel (24).
+#[test]
+fn table4_reuses_fig5s_perfect_baseline() {
+    let args = Args { insts: 2_000, seed: SEED, jobs: 2, skip: 2_000, ..Args::default() };
+    let mut exp = Experiment::with_args("fig5", args).quiet();
+    figures::fig5(&mut exp);
+    let after_fig5 = exp.runner.stats().unique_runs;
+    figures::table4(&mut exp);
+    assert_eq!(
+        exp.runner.stats().unique_runs - after_fig5,
+        16,
+        "unique runs table4 adds after fig5 at --insts 2000 --skip 2000"
+    );
+}
+
 /// No scheduling knob changes a row, at a window where epoch resets fire:
 /// `EPOCH_MIN_WINDOW` instructions behind a fast-forward, so one reset
 /// lands mid-window. `--jobs`, `--checkpoint`, `--idle-skip`, `--check` and
