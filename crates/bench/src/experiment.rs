@@ -17,7 +17,7 @@ use crate::runner::perfect_of;
 use crate::{header, parse_args, row, Args, Job, Report, Runner};
 
 /// One experiment's shared state: parsed arguments, the memoizing runner
-/// (configured from the two-tier flags), the machine-readable report, and
+/// (configured from the engine flags), the machine-readable report, and
 /// the wall clock.
 ///
 /// The runner is held through an [`Arc`] so a long-lived service (`smtxd`)
@@ -48,15 +48,13 @@ impl Experiment {
         let runner = Arc::new(
             Runner::new(args.jobs)
                 .with_skip(args.skip)
-                .with_checkpoint_cache(args.checkpoint)
-                .with_idle_skip(args.idle_skip)
                 .with_check(args.check)
                 .with_trace(args.trace.clone()),
         );
         Experiment::on_runner(name, args, runner)
     }
 
-    /// Builds the frame on an existing (shared) runner. The two-tier fields
+    /// Builds the frame on an existing (shared) runner. The engine fields
     /// of the report are taken from the runner itself — the caller's `args`
     /// only supply the budget, seed and output destination — so a served
     /// report always describes the engine that actually produced it.
@@ -64,14 +62,10 @@ impl Experiment {
     pub fn on_runner(name: &str, mut args: Args, runner: Arc<Runner>) -> Experiment {
         args.jobs = runner.jobs();
         args.skip = runner.skip();
-        args.checkpoint = runner.checkpoint_cache();
-        args.idle_skip = runner.idle_skip();
         args.check = runner.check();
         args.trace = runner.trace_path().map(std::path::Path::to_path_buf);
         let mut report = Report::new(name, args.insts, args.seed, runner.jobs());
         report.skip = args.skip;
-        report.checkpoint = args.checkpoint;
-        report.idle_skip = args.idle_skip;
         report.check = args.check;
         Experiment { args, runner, report, quiet: false, t0: Instant::now() }
     }
@@ -95,9 +89,8 @@ impl Experiment {
 
     /// Prints the experiment banner: the headline `lines`, the budget line,
     /// and — only when fast-forwarding — the skip line. The banner depends
-    /// on nothing but `--insts` and `--skip`, so the stdout of two runs
-    /// differing only in `--checkpoint` or `--idle-skip` must be
-    /// byte-identical (CI diffs it).
+    /// on nothing but `--insts` and `--skip`, so two runs differing only in
+    /// `--jobs`, `--check` or `--trace` print byte-identical stdout.
     pub fn banner(&self, lines: &[&str]) {
         for line in lines {
             self.println(line);
@@ -188,20 +181,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn with_args_threads_two_tier_flags_through() {
+    fn with_args_threads_engine_flags_through() {
         let args = Args {
+            jobs: 3,
             skip: 1_000,
-            checkpoint: false,
-            idle_skip: false,
             check: true,
             trace: Some("probe.trace".into()),
             ..Args::default()
         };
         let exp = Experiment::with_args("probe", args);
+        assert_eq!(exp.runner.jobs(), 3);
+        assert_eq!(exp.report.jobs, 3);
         assert_eq!(exp.runner.skip(), 1_000);
         assert_eq!(exp.report.skip, 1_000);
-        assert!(!exp.report.checkpoint);
-        assert!(!exp.report.idle_skip);
         assert!(exp.report.check);
         assert!(exp.runner.check());
         assert_eq!(

@@ -335,12 +335,13 @@ pub struct Args {
     /// Tier-1 functional fast-forward length in instructions per thread
     /// (`--skip`, default 0 = measure from instruction zero).
     pub skip: u64,
-    /// Reuse one cached checkpoint per workload across all configurations
-    /// (`--checkpoint on|off`, default on). `off` rebuilds per run — same
-    /// rows, no reuse — and at `--skip 0` bypasses checkpoints entirely.
+    /// Always `true`; no flag sets it. Kept only because the `perfbench`
+    /// harness still passes it to `Runner::with_checkpoint_cache`.
+    #[doc(hidden)]
     pub checkpoint: bool,
-    /// Tier-2 idle-cycle skipping in the detailed core (`--idle-skip
-    /// on|off`, default on). Bit-identical rows either way.
+    /// Always `true`; no flag sets it. Kept only because the `perfbench`
+    /// harness still passes it to `Runner::with_idle_skip`.
+    #[doc(hidden)]
     pub idle_skip: bool,
     /// Always 1; no flag sets it. Kept only because the `perfbench`
     /// harness still passes it to `Runner::with_intervals`.
@@ -383,9 +384,8 @@ impl Default for Args {
 }
 
 /// Parses the experiment flags from argv: `--insts N`, `--seed N`,
-/// `--jobs N`, `--skip N`, `--checkpoint on|off`, `--idle-skip on|off`,
-/// `--check on|off`, `--json PATH`, `--trace PATH` and `--program FILE.s`
-/// (repeatable).
+/// `--jobs N`, `--skip N`, `--check on|off`, `--json PATH`, `--trace PATH`
+/// and `--program FILE.s` (repeatable).
 /// Unknown or malformed arguments abort with a usage
 /// message — a silently ignored typo (`--inst 500000`) would otherwise run
 /// the full default-budget experiment and report it as the requested one.
@@ -397,8 +397,7 @@ pub fn parse_args() -> Args {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage: <experiment> [--insts N] [--seed N] [--jobs N] [--skip N] \
-                 [--checkpoint on|off] [--idle-skip on|off] [--check on|off] [--json PATH] \
-                 [--trace PATH] [--program FILE.s]..."
+                 [--check on|off] [--json PATH] [--trace PATH] [--program FILE.s]..."
             );
             std::process::exit(2);
         }
@@ -433,12 +432,6 @@ pub fn parse_arg_list<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, S
                 args.skip = value_for("--skip")?
                     .parse()
                     .map_err(|e| format!("--skip: {e}"))?;
-            }
-            "--checkpoint" => {
-                args.checkpoint = parse_on_off("--checkpoint", &value_for("--checkpoint")?)?;
-            }
-            "--idle-skip" => {
-                args.idle_skip = parse_on_off("--idle-skip", &value_for("--idle-skip")?)?;
             }
             "--check" => {
                 args.check = parse_on_off("--check", &value_for("--check")?)?;
@@ -509,8 +502,8 @@ mod tests {
     fn parse_arg_list_accepts_all_flags() {
         let argv = [
             "--insts", "5000", "--seed", "7", "--jobs", "3", "--skip", "20000",
-            "--checkpoint", "off", "--idle-skip", "off", "--check", "on",
-            "--json", "out.json", "--trace", "out.bin",
+            "--check", "on", "--json", "out.json", "--trace", "out.bin",
+            "--program", "a.s", "--program", "b.s",
         ]
         .iter()
         .map(|s| s.to_string());
@@ -519,19 +512,21 @@ mod tests {
         assert_eq!(args.seed, 7);
         assert_eq!(args.jobs, 3);
         assert_eq!(args.skip, 20_000);
-        assert!(!args.checkpoint);
-        assert!(!args.idle_skip);
         assert!(args.check);
         assert_eq!(args.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert_eq!(args.trace.as_deref(), Some(std::path::Path::new("out.bin")));
+        assert_eq!(args.programs, [std::path::PathBuf::from("a.s"), "b.s".into()]);
+        assert_eq!(
+            (args.checkpoint, args.idle_skip, args.intervals),
+            (true, true, 1),
+            "the hidden stubs keep their fixed values"
+        );
     }
 
     #[test]
-    fn two_tier_flags_default_to_fast_path() {
+    fn defaults_measure_from_instruction_zero_unchecked() {
         let args = parse_arg_list(std::iter::empty::<String>()).unwrap();
         assert_eq!(args.skip, 0);
-        assert!(args.checkpoint, "checkpoint reuse is the default");
-        assert!(args.idle_skip, "idle-cycle skipping is the default");
         assert!(!args.check, "the sanitizer is opt-in");
     }
 
@@ -546,12 +541,21 @@ mod tests {
         assert!(parse_arg_list(["--jobs".to_string(), "x".to_string()])
             .unwrap_err()
             .contains("--jobs"));
-        assert!(parse_arg_list(["--checkpoint".to_string(), "maybe".to_string()])
+        assert!(parse_arg_list(["--check".to_string(), "maybe".to_string()])
             .unwrap_err()
             .contains("expected `on` or `off`"));
-        assert!(parse_arg_list(["--idle-skip".to_string(), "1".to_string()])
-            .unwrap_err()
-            .contains("--idle-skip"));
+    }
+
+    #[test]
+    fn removed_scheduling_flags_are_unknown_arguments() {
+        for flag in ["--checkpoint", "--idle-skip"] {
+            for value in ["on", "off"] {
+                assert_eq!(
+                    parse_arg_list([flag.to_string(), value.to_string()]).unwrap_err(),
+                    format!("unknown argument `{flag}`")
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,10 +23,6 @@ pub struct Report {
     pub jobs: usize,
     /// Tier-1 fast-forward length (instructions per thread).
     pub skip: u64,
-    /// Whether the per-workload checkpoint cache was enabled.
-    pub checkpoint: bool,
-    /// Whether tier-2 idle-cycle skipping was enabled.
-    pub idle_skip: bool,
     /// Whether the `--check` pipeline sanitizer was enabled.
     pub check: bool,
     /// Wall-clock for the whole experiment.
@@ -70,8 +66,6 @@ impl Report {
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         s.push_str(&format!("  \"skip\": {},\n", self.skip));
-        s.push_str(&format!("  \"checkpoint\": {},\n", self.checkpoint));
-        s.push_str(&format!("  \"idle_skip\": {},\n", self.idle_skip));
         s.push_str(&format!("  \"check\": {},\n", self.check));
         s.push_str(&format!("  \"wall_ms\": {},\n", json_f64(self.wall.as_secs_f64() * 1e3)));
         s.push_str(&runner_stats_json(&self.runner, 2));

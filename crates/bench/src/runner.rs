@@ -34,7 +34,7 @@ use smtx_core::{
 };
 use smtx_trace::codec;
 use smtx_util::ShardMap;
-use smtx_workloads::{load_kernel, Kernel};
+use smtx_workloads::Kernel;
 
 use crate::{
     cycle_cap, epoch_schedule, make_checkpoint, make_mix_checkpoint, probe_insts, scale_budget,
@@ -218,11 +218,11 @@ pub struct Runner {
     /// the measurement window). 0 disables fast-forwarding.
     skip: u64,
     /// Reuse one cached checkpoint per `(workload, seed, skip)` across all
-    /// configurations. When off, every run rebuilds its checkpoint from
-    /// scratch (and a `skip == 0` run loads the kernel directly) — the rows
-    /// must come out identical either way; CI diffs them.
+    /// configurations. Off only in test oracles: every run then restores a
+    /// checkpoint built for it alone, and the rows must come out identical.
     use_checkpoints: bool,
-    /// Tier-2 idle-cycle skipping in the detailed machine.
+    /// Tier-2 idle-cycle skipping in the detailed machine. Off only in test
+    /// oracles, with identical rows.
     idle_skip: bool,
     /// Run every simulated machine under the `--check` pipeline sanitizer.
     /// Observation-only (rows stay bit-identical) but any violation panics
@@ -284,8 +284,7 @@ fn kernel_code(kernel: Kernel) -> u64 {
 impl Runner {
     /// Creates a runner executing up to `jobs` simulations concurrently;
     /// `0` selects the host's available parallelism. Fast-forward defaults
-    /// to 0 instructions; checkpoint reuse and idle-cycle skipping default
-    /// to on.
+    /// to 0 instructions; checkpoint reuse and idle-cycle skipping are on.
     #[must_use]
     pub fn new(jobs: usize) -> Runner {
         let jobs = if jobs == 0 {
@@ -326,7 +325,9 @@ impl Runner {
         self
     }
 
-    /// Enables or disables checkpoint reuse (`--checkpoint on|off`).
+    /// Enables or disables checkpoint reuse. Off, every run restores a
+    /// fresh checkpoint of its own: a test oracle for the cache, which no
+    /// binary can turn off.
     #[must_use]
     pub fn with_checkpoint_cache(mut self, on: bool) -> Runner {
         self.use_checkpoints = on;
@@ -334,7 +335,7 @@ impl Runner {
     }
 
     /// Enables or disables tier-2 idle-cycle skipping in every simulated
-    /// machine (`--idle-skip on|off`).
+    /// machine: a test oracle for the skip, which no binary can turn off.
     #[must_use]
     pub fn with_idle_skip(mut self, on: bool) -> Runner {
         self.idle_skip = on;
@@ -354,14 +355,6 @@ impl Runner {
         self
     }
 
-    /// Caps the approximate resident bytes of cached checkpoints
-    /// (least-recently-used entries are evicted past the cap).
-    #[must_use]
-    pub fn with_checkpoint_cap_bytes(mut self, bytes: u64) -> Runner {
-        self.ck_cap_bytes = bytes;
-        self
-    }
-
     /// The configured parallelism degree.
     #[must_use]
     pub fn jobs(&self) -> usize {
@@ -372,18 +365,6 @@ impl Runner {
     #[must_use]
     pub fn skip(&self) -> u64 {
         self.skip
-    }
-
-    /// Whether checkpoint reuse is enabled.
-    #[must_use]
-    pub fn checkpoint_cache(&self) -> bool {
-        self.use_checkpoints
-    }
-
-    /// Whether tier-2 idle-cycle skipping is enabled.
-    #[must_use]
-    pub fn idle_skip(&self) -> bool {
-        self.idle_skip
     }
 
     /// Sets (or clears) the binary trace capture destination (`--trace
@@ -719,11 +700,12 @@ impl Runner {
     }
 
     /// The one single-kernel simulation behind [`Runner::run`] and
-    /// [`Runner::run_traced`]: load the kernel or restore its fast-forward
-    /// checkpoint, install the window's [`epoch_schedule`], and run the
-    /// budget to its freeze. Returns the stats and, when `trace`, the event
-    /// segment. The machine is dropped here, before the caller's reference
-    /// run or trace encoding, so neither adds to its peak memory.
+    /// [`Runner::run_traced`]: restore the kernel's fast-forward checkpoint
+    /// (the loaded kernel at `skip == 0`), install the window's
+    /// [`epoch_schedule`], and run the budget to its freeze. Returns the
+    /// stats and, when `trace`, the event segment. The machine is dropped
+    /// here, before the caller's reference run or trace encoding, so
+    /// neither adds to its peak memory.
     fn simulate(
         &self,
         kernel: Kernel,
@@ -741,12 +723,7 @@ impl Runner {
         if trace {
             m.set_tracer(Some(Box::new(VecSink::default())));
         }
-        if self.skip == 0 && !self.use_checkpoints {
-            load_kernel(&mut m, 0, kernel, seed);
-        } else {
-            let ck = self.checkpoint_single(kernel, seed);
-            m.restore(&ck);
-        }
+        m.restore(&self.checkpoint_single(kernel, seed));
         m.set_epoch_len(epoch_schedule(insts));
         m.set_budget(0, insts);
         m.run(cycle_cap(insts));
@@ -875,14 +852,7 @@ impl Runner {
         if self.trace_path.is_some() {
             m.set_tracer(Some(Box::new(VecSink::default())));
         }
-        if self.skip == 0 && !self.use_checkpoints {
-            for (tid, &k) in mix.iter().enumerate() {
-                load_kernel(&mut m, tid, k, seed + tid as u64);
-            }
-        } else {
-            let ck = self.checkpoint_mix(mix, seed);
-            m.restore(&ck);
-        }
+        m.restore(&self.checkpoint_mix(mix, seed));
         for tid in 0..3 {
             m.set_budget(tid, insts);
         }
@@ -1035,6 +1005,56 @@ mod tests {
         // A second config against the cached runner reuses the checkpoint.
         let hw = config_with_idle(ExnMechanism::Hardware, 1);
         let _ = cached.run(Kernel::Compress, 42, 3_000, &hw);
+    }
+
+    /// The checkpoint cache's LRU byte cap, exercised with a cap below
+    /// three checkpoints (and then below one): the least-recently-used
+    /// entry goes first, the entry just inserted never goes,
+    /// `checkpoint_bytes` follows every eviction, and a run that rebuilds
+    /// an evicted checkpoint equals the cached run.
+    #[test]
+    fn checkpoint_cache_evicts_least_recently_used_past_the_cap() {
+        const SKIP: u64 = 2_000;
+        const INSTS: u64 = 1_000;
+        let (a, b, c) = (Kernel::Compress, Kernel::Gcc, Kernel::Murphi);
+        let size = |k| make_checkpoint(k, 42, SKIP).approx_bytes();
+        let (sa, sb, sc) = (size(a), size(b), size(c));
+        let trad = config_with_idle(ExnMechanism::Traditional, 1);
+        let hw = config_with_idle(ExnMechanism::Hardware, 1);
+        let cached = |r: &Runner, k| r.checkpoints.contains(&CkKey::Single(k, 42, SKIP));
+        let builds = |r: &Runner| r.stats().checkpoint_ms_hist.iter().sum::<u64>();
+
+        // Any two fit, three do not.
+        let mut runner = Runner::new(1).with_skip(SKIP);
+        runner.ck_cap_bytes = sa + sb + sc - 1;
+        let _ = runner.run(a, 42, INSTS, &trad);
+        let _ = runner.run(b, 42, INSTS, &trad);
+        assert_eq!(runner.stats().checkpoint_bytes, sa + sb);
+        let _ = runner.run(a, 42, INSTS, &hw); // a hit makes `a` most recent
+        let _ = runner.run(c, 42, INSTS, &trad);
+        assert!(!cached(&runner, b), "the least recently used checkpoint is evicted");
+        assert!(cached(&runner, a) && cached(&runner, c));
+        assert_eq!(runner.stats().checkpoint_bytes, sa + sc);
+        assert_eq!(builds(&runner), 3);
+
+        let rebuilt = runner.run(b, 42, INSTS, &hw);
+        assert_eq!(builds(&runner), 4, "the evicted checkpoint is rebuilt");
+        assert!(!cached(&runner, a), "`a` is now the least recently used");
+        assert!(cached(&runner, b) && cached(&runner, c));
+        assert_eq!(runner.stats().checkpoint_bytes, sb + sc);
+        let reference = Runner::new(1).with_skip(SKIP).run(b, 42, INSTS, &hw);
+        assert_eq!(rebuilt.stats, reference.stats, "a rebuilt checkpoint runs the same");
+        assert_eq!(rebuilt.arch_misses, reference.arch_misses);
+
+        // Below one checkpoint: the entry just inserted still stays.
+        let mut runner = Runner::new(1).with_skip(SKIP);
+        runner.ck_cap_bytes = 1;
+        let _ = runner.run(a, 42, INSTS, &trad);
+        assert!(cached(&runner, a), "the only entry is never evicted");
+        assert_eq!(runner.stats().checkpoint_bytes, sa);
+        let _ = runner.run(b, 42, INSTS, &trad);
+        assert!(!cached(&runner, a) && cached(&runner, b));
+        assert_eq!(runner.stats().checkpoint_bytes, sb);
     }
 
     #[test]

@@ -44,6 +44,29 @@ fn experiment_bins_reject_unknown_flags_with_exit_2_and_usage() {
     }
 }
 
+/// Checkpoint reuse and idle-cycle skipping are always on: only library
+/// tests turn them off, so `--checkpoint` and `--idle-skip` are unknown
+/// arguments and the usage line does not offer them.
+#[test]
+fn experiment_bins_reject_the_removed_scheduling_flags() {
+    for bin in EXPERIMENT_BINS {
+        for args in [["--checkpoint", "off"], ["--idle-skip", "off"]] {
+            let (code, stderr) = run(bin, &args);
+            assert_eq!(code, Some(2), "{bin} {args:?} must exit 2, stderr: {stderr}");
+            assert!(
+                stderr.contains(&format!("error: unknown argument `{}`", args[0])),
+                "{bin} {args:?} must be named as unknown, got: {stderr}"
+            );
+            let usage = stderr.lines().find(|l| l.starts_with("usage:"));
+            let usage = usage.unwrap_or_else(|| panic!("{bin} {args:?}: no usage in {stderr}"));
+            assert!(
+                !usage.contains("--checkpoint") && !usage.contains("--idle-skip"),
+                "{bin}: usage still offers a removed flag: {usage}"
+            );
+        }
+    }
+}
+
 #[test]
 fn experiment_bins_reject_malformed_values_with_exit_2() {
     for bin in EXPERIMENT_BINS {

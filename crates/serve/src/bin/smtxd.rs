@@ -7,7 +7,7 @@ use smtx_serve::{server, ServiceConfig};
 
 const USAGE: &str = "usage: smtxd [--addr HOST] [--port N] [--workers N] [--runner-jobs N] \
  [--queue-cap N] [--results-cap N] [--deadline-ms N] [--skip N] \
- [--checkpoint on|off] [--idle-skip on|off] [--check on|off] [--asm DIR]";
+ [--check on|off] [--asm DIR]";
 
 struct Opts {
     addr: String,
@@ -58,12 +58,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
                     num("--deadline-ms", &value_for("--deadline-ms")?)?;
             }
             "--skip" => opts.config.skip = num("--skip", &value_for("--skip")?)?,
-            "--checkpoint" => {
-                opts.config.checkpoint = on_off("--checkpoint", &value_for("--checkpoint")?)?;
-            }
-            "--idle-skip" => {
-                opts.config.idle_skip = on_off("--idle-skip", &value_for("--idle-skip")?)?;
-            }
             "--check" => {
                 opts.config.check = on_off("--check", &value_for("--check")?)?;
             }

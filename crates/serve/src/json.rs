@@ -29,7 +29,7 @@ impl Json {
     /// Parses `text` as a single JSON value (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -174,6 +174,7 @@ pub fn quote(s: &str) -> String {
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -283,11 +284,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err("unterminated string".to_string());
+                    // Consume one UTF-8 scalar. Every token before it is
+                    // ASCII, so `pos` is on a char boundary; decoding only
+                    // this scalar keeps a long string linear.
+                    let Some(c) = self.text.get(self.pos..).and_then(|rest| rest.chars().next())
+                    else {
+                        return Err(format!("bad string at byte {}", self.pos));
                     };
                     out.push(c);
                     self.pos += c.len_utf8();

@@ -45,10 +45,6 @@ pub struct ServiceConfig {
     pub default_deadline_ms: u64,
     /// Tier-1 fast-forward length for the shared runner.
     pub skip: u64,
-    /// Whether the shared runner caches fast-forward checkpoints.
-    pub checkpoint: bool,
-    /// Whether the shared runner skips idle cycles (tier 2).
-    pub idle_skip: bool,
     /// Default for jobs that do not say: run under the `--check` pipeline
     /// sanitizer (observation-only; rows stay byte-identical).
     pub check: bool,
@@ -63,8 +59,6 @@ impl Default for ServiceConfig {
             results_cap: 256,
             default_deadline_ms: 600_000,
             skip: 0,
-            checkpoint: true,
-            idle_skip: true,
             check: false,
         }
     }
@@ -782,8 +776,6 @@ impl Local {
             Arc::new(
                 Runner::new(config.runner_jobs)
                     .with_skip(config.skip)
-                    .with_checkpoint_cache(config.checkpoint)
-                    .with_idle_skip(config.idle_skip)
                     .with_check(check),
             )
         };

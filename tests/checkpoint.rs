@@ -68,9 +68,36 @@ fn restored_run_matches_detailed_machine_from_scratch() {
 
 /// A `skip == 0` restore is not merely architecturally equal to the direct
 /// load path — the *entire run* (every statistic) is bit-identical, because
-/// restore rebuilds exactly the state `load_kernel` creates.
+/// restore rebuilds exactly the state `load_kernel` creates. The runner
+/// starts every run from a checkpoint, so this is what makes its `--skip 0`
+/// rows the load path's rows, for single kernels and for a Fig. 7 mix.
 #[test]
 fn zero_skip_restore_is_bit_identical_to_direct_load() {
+    let mix = MIXES[0];
+    let config = MachineConfig::paper_baseline(ExnMechanism::Multithreaded).with_threads(4);
+    let run_mix = |m: &mut Machine| {
+        for tid in 0..3 {
+            m.set_budget(tid, INSTS);
+        }
+        m.run(CAP);
+        for tid in 0..3 {
+            assert_eq!(m.stats().retired(tid), INSTS, "{mix:?} thread {tid} unfinished");
+        }
+    };
+    let mut direct = Machine::new(config.clone());
+    for (tid, &k) in mix.iter().enumerate() {
+        load_kernel(&mut direct, tid, k, SEED + tid as u64);
+    }
+    run_mix(&mut direct);
+    let mut restored = Machine::new(config);
+    restored.restore(&make_mix_checkpoint(mix, SEED, 0));
+    run_mix(&mut restored);
+    assert_eq!(
+        direct.stats(),
+        restored.stats(),
+        "{mix:?}: skip-0 mix restore must be the load path, bit for bit"
+    );
+
     for kernel in [Kernel::Compress, Kernel::Vortex] {
         let ck = make_checkpoint(kernel, SEED, 0);
         let config = config_with_idle(ExnMechanism::Multithreaded, 1);

@@ -14,6 +14,8 @@ use smtx_bench::{
     penalty_table_for, probe_insts, run_restored, runner::perfect_of, scale_budget, Args,
     Experiment, Job, Runner, EPOCH_MIN_WINDOW,
 };
+use std::sync::Arc;
+
 use smtx_core::{ExnMechanism, MachineConfig};
 use smtx_workloads::Kernel;
 
@@ -195,8 +197,9 @@ fn table4_reuses_fig5s_perfect_baseline() {
 
 /// No scheduling knob changes a row, at a window where epoch resets fire:
 /// `EPOCH_MIN_WINDOW` instructions behind a fast-forward, so one reset
-/// lands mid-window. `--jobs`, `--checkpoint`, `--idle-skip`, `--check` and
-/// `--trace` must each reproduce the default runner's stats and
+/// lands mid-window. `--jobs`, `--check`, `--trace` and the two
+/// library-only oracles (a fresh checkpoint per run, no idle-cycle skip)
+/// must each reproduce the default runner's stats and
 /// architectural miss counts, and `run_traced`'s trace must decode into one
 /// segment that accounts for the same cycles, fetches and handler time.
 #[test]
@@ -227,8 +230,8 @@ fn scheduling_knobs_never_change_a_reset_active_row() {
     base.prefetch(jobs());
     let variants = [
         ("--jobs 2", Runner::new(2).with_skip(SKIP)),
-        ("--checkpoint off", Runner::new(1).with_skip(SKIP).with_checkpoint_cache(false)),
-        ("--idle-skip off", Runner::new(1).with_skip(SKIP).with_idle_skip(false)),
+        ("no checkpoint cache", Runner::new(1).with_skip(SKIP).with_checkpoint_cache(false)),
+        ("no idle-skip", Runner::new(1).with_skip(SKIP).with_idle_skip(false)),
         ("--check on", Runner::new(1).with_skip(SKIP).with_check(true)),
         ("--trace", Runner::new(1).with_skip(SKIP).with_trace(Some(trace.clone()))),
     ];
@@ -257,5 +260,82 @@ fn scheduling_knobs_never_change_a_reset_active_row() {
         assert_eq!(seg.end_cycle, a.stats.cycles, "{} traced cycles", kernel.name());
         assert_eq!(seg.counts.fetch, a.stats.fetched, "{} traced fetches", kernel.name());
         assert_eq!(seg.spliced_occupancy, a.stats.handler_active_cycles, "{}", kernel.name());
+    }
+}
+
+/// Checkpoint reuse and idle-cycle skipping are optimizations, not
+/// approximations, and no binary can turn them off. So the rows of `figure`
+/// at `--insts insts --skip skip` from a default runner must equal, byte
+/// for byte in `--json` form, those of runners with a fresh checkpoint per
+/// run, with no idle-cycle skip, and with neither.
+fn assert_scheduling_oracles_keep_rows(figure: &str, insts: u64, skip: u64) {
+    let rows = |runner: Runner| -> String {
+        let args = Args { insts, seed: SEED, ..Args::default() };
+        let mut exp = Experiment::on_runner(figure, args, Arc::new(runner.with_skip(skip))).quiet();
+        assert!(figures::run_named(figure, &mut exp), "{figure} is a figure");
+        assert!(!exp.report.rows.is_empty(), "{figure} printed rows");
+        exp.report.rows_json()
+    };
+    let want = rows(Runner::new(2));
+    for (oracle, runner) in [
+        ("a fresh checkpoint per run", Runner::new(2).with_checkpoint_cache(false)),
+        ("no idle-cycle skip", Runner::new(2).with_idle_skip(false)),
+        ("both", Runner::new(2).with_checkpoint_cache(false).with_idle_skip(false)),
+    ] {
+        assert_eq!(rows(runner), want, "{figure} --insts {insts} --skip {skip} under {oracle}");
+    }
+}
+
+/// The CI `cycle-exactness` cases, as `(figure, insts, skip)`: fig5 from
+/// instruction zero, where the one start path restores a zero-length
+/// checkpoint, and behind a fast-forward; Fig. 7's 4-context mixes.
+const CYCLE_EXACTNESS: [(&str, u64, u64); 3] =
+    [("fig5", 8_000, 0), ("fig5", 8_000, 20_000), ("fig7", 4_000, 0)];
+
+/// The CI `scheduling-knobs` cases: fig2, fig5 and fig7 at a window where
+/// epoch resets fire, and fig5 at the benchmark's `fig5-window` shape,
+/// where loads parked behind unresolved stores change how far idle-skip
+/// jumps.
+const SCHEDULING_KNOBS: [(&str, u64, u64); 4] = [
+    ("fig2", 96_000, 20_000),
+    ("fig5", 96_000, 20_000),
+    ("fig7", 96_000, 20_000),
+    ("fig5", 10_000, 2_000),
+];
+
+/// Every case at a 500-instruction window with its own skip (budgets
+/// still grow to reach `MIN_MISSES`); the full windows run in CI, in
+/// release, through `--ignored`. At this size the resets do not fire;
+/// `scheduling_knobs_never_change_a_reset_active_row` covers them.
+fn at_small_window(cases: &[(&'static str, u64, u64)]) {
+    for &(figure, _, skip) in cases {
+        assert_scheduling_oracles_keep_rows(figure, 500, skip);
+    }
+}
+
+#[test]
+fn cycle_exactness_at_small_windows() {
+    at_small_window(&CYCLE_EXACTNESS);
+}
+
+#[test]
+#[ignore = "CI window; run in release with --ignored"]
+fn cycle_exactness_at_ci_windows() {
+    for (figure, insts, skip) in CYCLE_EXACTNESS {
+        assert_scheduling_oracles_keep_rows(figure, insts, skip);
+    }
+}
+
+#[test]
+fn scheduling_knobs_at_small_windows() {
+    // fig5 behind the 20000 fast-forward is cycle-exactness's second case.
+    at_small_window(&[SCHEDULING_KNOBS[0], SCHEDULING_KNOBS[2], SCHEDULING_KNOBS[3]]);
+}
+
+#[test]
+#[ignore = "CI window; run in release with --ignored"]
+fn scheduling_knobs_at_ci_windows() {
+    for (figure, insts, skip) in SCHEDULING_KNOBS {
+        assert_scheduling_oracles_keep_rows(figure, insts, skip);
     }
 }
