@@ -98,6 +98,7 @@ pub fn fig3(exp: &mut Experiment) {
     let budgets = exp.runner.insts_map(&Kernel::ALL, seed, insts);
     let mut jobs = Vec::new();
     for (&k, &insts) in Kernel::ALL.iter().zip(&budgets) {
+        jobs.push(Job::Ref { kernel: k, seed, insts });
         for &(w, win) in &sweep {
             let cfg = width_config(w, win);
             jobs.push(Job::Sim { kernel: k, seed, insts, config: perfect_of(&cfg) });

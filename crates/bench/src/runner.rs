@@ -470,6 +470,9 @@ impl Runner {
     /// When checkpoint reuse is on, the distinct checkpoints the batch needs
     /// are built first (in parallel), so concurrent sims of the same
     /// workload share one fast-forward instead of racing to duplicate it.
+    /// Likewise the batch's reference windows run in their own pass before
+    /// its sims, which read them: no two workers compute the same one, so
+    /// the cache counters are exact at any worker count.
     pub fn prefetch(&self, jobs: Vec<Job>) {
         let mut pending = Vec::with_capacity(jobs.len());
         let mut seen = std::collections::BTreeSet::new();
@@ -510,7 +513,10 @@ impl Runner {
                 };
             });
         }
-        self.for_each_parallel(pending.len(), |i| self.execute(&pending[i]));
+        let (refs, sims): (Vec<Job>, Vec<Job>) =
+            pending.into_iter().partition(|job| matches!(job, Job::Ref { .. }));
+        self.for_each_parallel(refs.len(), |i| self.execute(&refs[i]));
+        self.for_each_parallel(sims.len(), |i| self.execute(&sims[i]));
     }
 
     /// Runs `f(0..n)` across the worker pool (serially when `n` or the pool

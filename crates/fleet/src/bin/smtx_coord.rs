@@ -10,7 +10,9 @@ use smtx_fleet::{CoordConfig, Placement};
 const USAGE: &str = "usage: smtx-coord --node HOST:PORT [--node HOST:PORT ...] \
  [--addr HOST] [--port N] [--placement shard|round-robin] \
  [--dispatchers N] [--steal-depth N] [--queue-cap N] [--results-cap N] \
- [--deadline-ms N] [--node-timeout-ms N] [--poll-ms N]";
+ [--deadline-ms N] [--node-timeout-ms N] [--poll-ms MAX]\n\
+ (--poll-ms: the longest status-poll interval, ms, default 20; polls of a node job \
+ start 1 ms after its submit and double)";
 
 struct Opts {
     addr: String,

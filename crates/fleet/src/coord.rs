@@ -86,6 +86,11 @@ pub fn home_of(id: &str, nodes: usize) -> usize {
     usize::try_from(h.finish() % nodes as u64).unwrap_or(0)
 }
 
+/// Delay from a forwarded submit to the first status poll. A job the node
+/// queued is often a runner-cache hit done within it; slower jobs back off
+/// to [`CoordConfig::poll_ms`].
+const FIRST_POLL: Duration = Duration::from_millis(1);
+
 /// Tuning knobs for one coordinator instance.
 #[derive(Debug, Clone)]
 pub struct CoordConfig {
@@ -108,7 +113,9 @@ pub struct CoordConfig {
     /// Per-request timeout against a node, milliseconds — also how fast a
     /// dead node is detected.
     pub node_timeout_ms: u64,
-    /// Status-poll interval while a job runs on a node, milliseconds.
+    /// Longest status-poll interval while a job runs on a node,
+    /// milliseconds. The first poll comes 1 ms after the submit and the
+    /// interval doubles up to this.
     pub poll_ms: u64,
 }
 
@@ -294,7 +301,10 @@ impl Remote {
     }
 
     /// Forwards one job to node `ix` over its public API and waits for a
-    /// terminal state, bounded by the job's deadline.
+    /// terminal state, bounded by the job's deadline. A submit the node
+    /// answers `done` (its dedup or store hit) goes straight to the result
+    /// fetch; otherwise status polls start [`FIRST_POLL`] after the submit
+    /// and their interval doubles up to `poll_ms`.
     fn forward(&self, ix: usize, id: &str, spec: &JobSpec, deadline: Instant) -> Exec {
         let expired = || Exec::Failed { error: "deadline exceeded".to_string(), transient: true };
         let addr = &self.nodes[ix].addr;
@@ -329,11 +339,17 @@ impl Remote {
                 }
             }
         }
-        loop {
+        let submitted = Json::parse(&resp.body).ok();
+        let mut done = submitted.as_ref().and_then(|v| v.get("state")).and_then(Json::as_str)
+            == Some("done");
+        let cap = Duration::from_millis(self.config.poll_ms.max(1));
+        let mut wait = FIRST_POLL.min(cap);
+        while !done {
             if Instant::now() > deadline {
                 return expired();
             }
-            std::thread::sleep(Duration::from_millis(self.config.poll_ms.max(1)));
+            std::thread::sleep(wait);
+            wait = (wait * 2).min(cap);
             let path = format!("/v1/jobs/{id}");
             let st = match client_request(addr, "GET", &path, None, self.node_timeout(deadline)) {
                 Ok(r) => r,
@@ -349,19 +365,7 @@ impl Remote {
                 parsed.as_ref().and_then(|v| v.get(key)).and_then(Json::as_str).map(String::from)
             };
             match field("state").as_deref() {
-                Some("done") => {
-                    let path = format!("/v1/jobs/{id}/result");
-                    let timeout = self.node_timeout(deadline);
-                    let res = match client_request(addr, "GET", &path, None, timeout) {
-                        Ok(r) => r,
-                        Err(e) => return self.down(ix, format!("result fetch: {e}")),
-                    };
-                    if res.status != 200 {
-                        return self.down(ix, format!("result fetch answered {}", res.status));
-                    }
-                    Self::inc(&self.store_insertions);
-                    return Exec::Done { json: res.body, trace: None, node: Some(ix) };
-                }
+                Some("done") => done = true,
                 Some("failed") => {
                     let error = field("error").unwrap_or_else(|| "node reported failure".into());
                     // The node-side deadline is this job's own, forwarded.
@@ -372,6 +376,16 @@ impl Remote {
                 None => return self.down(ix, "malformed status payload".to_string()),
             }
         }
+        let path = format!("/v1/jobs/{id}/result");
+        let res = match client_request(addr, "GET", &path, None, self.node_timeout(deadline)) {
+            Ok(r) => r,
+            Err(e) => return self.down(ix, format!("result fetch: {e}")),
+        };
+        if res.status != 200 {
+            return self.down(ix, format!("result fetch answered {}", res.status));
+        }
+        Self::inc(&self.store_insertions);
+        Exec::Done { json: res.body, trace: None, node: Some(ix) }
     }
 
     /// Posts `/v1/shutdown` to every node still marked alive (the
@@ -478,6 +492,9 @@ pub fn start(addr: &str, config: CoordConfig) -> std::io::Result<CoordHandle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtx_serve::eventloop::{self, Outcome, Router};
+    use smtx_serve::http::{BadRequest, Request};
+    use std::sync::{Arc, Mutex};
 
     fn remote(placement: Placement, steal_depth: u64, nodes: &[&str]) -> Remote {
         Remote::new(CoordConfig {
@@ -486,6 +503,94 @@ mod tests {
             steal_depth,
             ..CoordConfig::default()
         })
+    }
+
+    /// A scripted node for job `j`: answers the submit with
+    /// `submit_state`, reports the job running until `ready_after` has
+    /// passed since the submit, and logs every request it gets.
+    struct FakeNode {
+        submit_state: &'static str,
+        ready_after: Duration,
+        submitted: Mutex<Option<Instant>>,
+        log: Mutex<Vec<String>>,
+    }
+
+    impl Router for FakeNode {
+        fn route(&self, req: &Request) -> Outcome {
+            self.log.lock().unwrap().push(format!("{} {}", req.method, req.path));
+            let state = match req.path.as_str() {
+                "/v1/jobs" => {
+                    *self.submitted.lock().unwrap() = Some(Instant::now());
+                    self.submit_state
+                }
+                "/v1/jobs/j" => {
+                    let since = self.submitted.lock().unwrap().expect("submitted").elapsed();
+                    if since >= self.ready_after {
+                        "done"
+                    } else {
+                        "running"
+                    }
+                }
+                _ => "result",
+            };
+            let body = format!("{{\"id\": \"j\", \"state\": \"{state}\"}}");
+            Outcome::Full { status: 200, content_type: "application/json", body: body.into_bytes() }
+        }
+
+        fn bad_request(&self, err: &BadRequest) -> Outcome {
+            panic!("bad request: {}", err.0)
+        }
+    }
+
+    /// Runs `forward` of job `j` against a fresh [`FakeNode`] with
+    /// `poll_ms = 20`; returns the node's request log and how long
+    /// `forward` took.
+    fn forward_to_fake(
+        submit_state: &'static str,
+        ready_after: Duration,
+    ) -> (Vec<String>, Duration) {
+        let node = Arc::new(FakeNode {
+            submit_state,
+            ready_after,
+            submitted: Mutex::new(None),
+            log: Mutex::new(Vec::new()),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stopped = Arc::new(AtomicBool::new(false));
+        let reactor = {
+            let router: Arc<dyn Router> = node.clone();
+            let stopped = Arc::clone(&stopped);
+            std::thread::spawn(move || eventloop::run(listener, &router, &stopped))
+        };
+        let config = CoordConfig { nodes: vec![addr], poll_ms: 20, ..CoordConfig::default() };
+        let r = Remote::new(config);
+        let spec = JobSpec::from_json(&Json::parse(r#"{"kernel": "compress"}"#).unwrap()).unwrap();
+        let t0 = Instant::now();
+        let exec = r.forward(0, "j", &spec, t0 + Duration::from_secs(30));
+        let took = t0.elapsed();
+        assert!(matches!(exec, Exec::Done { node: Some(0), .. }), "{exec:?}");
+        stopped.store(true, Ordering::SeqCst);
+        reactor.join().unwrap();
+        let log = node.log.lock().unwrap().clone();
+        (log, took)
+    }
+
+    #[test]
+    fn a_submit_answered_done_fetches_the_result_without_polling() {
+        let (log, _) = forward_to_fake("done", Duration::ZERO);
+        assert_eq!(log, ["POST /v1/jobs", "GET /v1/jobs/j/result"]);
+    }
+
+    #[test]
+    fn a_short_node_job_is_seen_done_well_inside_the_poll_cap() {
+        // A ~3 ms job under a fixed 20 ms poll would take 20 ms. Best of
+        // three, so one descheduled run on a loaded machine does not
+        // decide it.
+        let runs: Vec<Duration> =
+            (0..3).map(|_| forward_to_fake("queued", Duration::from_millis(3)).1).collect();
+        let best = runs.iter().min().unwrap();
+        assert!(*best < Duration::from_millis(10), "forward took {runs:?}");
     }
 
     #[test]

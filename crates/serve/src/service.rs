@@ -118,6 +118,19 @@ const SPEC_KEYS: [&str; 9] = [
     "deadline_ms",
 ];
 
+/// Longest client-supplied name an error message quotes, in bytes.
+const ECHO_MAX: usize = 64;
+
+/// `name` as an error message quotes it: whole up to [`ECHO_MAX`] bytes,
+/// else cut on a char boundary and marked with `…`, so a huge name does
+/// not come back as a huge error.
+fn echo(name: &str) -> String {
+    if name.len() <= ECHO_MAX {
+        return name.to_string();
+    }
+    format!("{}…", &name[..name.floor_char_boundary(ECHO_MAX)])
+}
+
 impl JobSpec {
     /// Parses and validates a submission body.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
@@ -125,6 +138,7 @@ impl JobSpec {
             return Err("body must be a JSON object".to_string());
         };
         if let Some(key) = members.keys().find(|k| !SPEC_KEYS.contains(&k.as_str())) {
+            let key = echo(key);
             return Err(format!("unknown key `{key}` (known: {})", SPEC_KEYS.join(", ")));
         }
         let insts = match v.get("insts") {
@@ -156,7 +170,8 @@ impl JobSpec {
                 let name = e.as_str().ok_or("`experiment` must be a string")?;
                 if !figures::ALL.contains(&name) {
                     return Err(format!(
-                        "unknown experiment `{name}` (known: {})",
+                        "unknown experiment `{}` (known: {})",
+                        echo(name),
                         figures::ALL.join(", ")
                     ));
                 }
@@ -167,7 +182,7 @@ impl JobSpec {
                 let kernel = Kernel::from_name(kname).ok_or_else(|| {
                     let mut known: Vec<&str> = Kernel::ALL.map(Kernel::name).to_vec();
                     known.extend(smtx_workloads::asm_kernels().iter().map(|k| k.name()));
-                    format!("unknown kernel `{kname}` (known: {})", known.join(", "))
+                    format!("unknown kernel `{}` (known: {})", echo(kname), known.join(", "))
                 })?;
                 let mlabel = match v.get("mechanism") {
                     None => "multithreaded",
@@ -178,7 +193,8 @@ impl JobSpec {
                     .find(|m| m.label() == mlabel)
                     .ok_or_else(|| {
                         format!(
-                            "unknown mechanism `{mlabel}` (known: {})",
+                            "unknown mechanism `{}` (known: {})",
+                            echo(mlabel),
                             ExnMechanism::ALL.map(ExnMechanism::label).join(", ")
                         )
                     })?;
@@ -905,6 +921,26 @@ mod tests {
     fn intervals_is_an_unknown_key() {
         let err = parse(r#"{"kernel":"compress","intervals":4}"#).unwrap_err();
         assert!(err.starts_with("unknown key `intervals`"), "{err}");
+    }
+
+    #[test]
+    fn rejected_names_are_echoed_at_most_64_bytes() {
+        // 63 ASCII bytes then a 2-byte char straddling the cap: the cut
+        // falls back to the char boundary at 63.
+        let long = format!("{}é{}", "x".repeat(63), "y".repeat(1000));
+        let quoted = format!("`{}…`", "x".repeat(63));
+        for (body, prefix) in [
+            (format!(r#"{{"{long}": 1, "kernel": "gcc"}}"#), "unknown key"),
+            (format!(r#"{{"experiment": "{long}"}}"#), "unknown experiment"),
+            (format!(r#"{{"kernel": "{long}"}}"#), "unknown kernel"),
+            (format!(r#"{{"kernel": "gcc", "mechanism": "{long}"}}"#), "unknown mechanism"),
+        ] {
+            let err = parse(&body).unwrap_err();
+            assert!(err.starts_with(&format!("{prefix} {quoted} (known: ")), "{err}");
+        }
+        // Names within the cap are quoted whole.
+        let err = parse(&format!(r#"{{"kernel": "{}"}}"#, "z".repeat(64))).unwrap_err();
+        assert!(err.starts_with(&format!("unknown kernel `{}` (", "z".repeat(64))), "{err}");
     }
 
     /// Ids are the dedup key nodes, coordinators and clients share, so

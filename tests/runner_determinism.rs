@@ -177,6 +177,32 @@ fn fig5_work_counts_are_exact_and_job_count_independent() {
     }
 }
 
+/// Fig. 3's cache counters are exact too: its batch carries each kernel's
+/// reference window, which the runner computes before the sims that read
+/// it, so no two workers race to miss the same reference-cache entry. The
+/// pin also catches a batch without those windows: each kernel's first
+/// sim would compute its window, one cache hit fewer per kernel.
+#[test]
+fn fig3_work_counts_are_exact_and_job_count_independent() {
+    let counts = |jobs: usize| {
+        let args = Args { insts: 500, seed: SEED, jobs, skip: 2_000, ..Args::default() };
+        let mut exp = Experiment::with_args("fig3", args).quiet();
+        figures::fig3(&mut exp);
+        let s = exp.runner.stats();
+        (s.unique_runs, s.cache_hits, s.checkpoint_hits, s.sim_cycles, s.checkpoint_bytes)
+    };
+    for rep in 0..5 {
+        for jobs in [1, 2] {
+            assert_eq!(
+                counts(jobs),
+                (64, 104, 64, 2_151_058, 16_183_488),
+                "fig3 --insts 500 --skip 2000 at --jobs {jobs}, repetition {rep} \
+                 (unique_runs, cache_hits, checkpoint_hits, sim_cycles, checkpoint_bytes)"
+            );
+        }
+    }
+}
+
 /// Table 4's "Perfect" column is the canonical perfect-TLB baseline that
 /// Fig. 5 already ran: after Fig. 5 on one runner, Table 4 adds only its
 /// two quick-start columns (16 runs over eight kernels), not a second

@@ -215,6 +215,29 @@ fn oversized_bodies_are_rejected_before_queueing() {
     handle.shutdown_and_join();
 }
 
+/// Back-to-back requests are answered in tens of microseconds: the
+/// reactor's idle sleep restarts short after every request it serves
+/// instead of a fixed ~1 ms. Best of three rounds, so one descheduled
+/// round on a loaded machine does not decide it; a fixed 1 ms sleep
+/// fails every round.
+#[test]
+fn sequential_requests_do_not_wait_out_an_idle_sleep() {
+    let config = ServiceConfig { workers: 1, runner_jobs: 1, ..ServiceConfig::default() };
+    let handle = server::start("127.0.0.1:0", config).expect("bind loopback");
+    let addr = handle.addr().to_string();
+    let mut rounds = Vec::new();
+    for _ in 0..3 {
+        let t0 = std::time::Instant::now();
+        for _ in 0..100 {
+            assert_eq!(get(&addr, "/healthz").0, 200);
+        }
+        rounds.push(t0.elapsed() / 100);
+    }
+    let best = rounds.iter().min().unwrap();
+    assert!(*best < Duration::from_micros(500), "mean request latency per round: {rounds:?}");
+    handle.shutdown_and_join();
+}
+
 /// A queued job whose deadline lapses before a worker picks it up fails
 /// with a deadline error instead of running late.
 #[test]
