@@ -282,8 +282,8 @@ pub fn table2(exp: &mut Experiment) {
     exp.report.columns = vec!["paper/100M".into(), "ours/100M".into(), "ratio".into()];
     for k in Kernel::ALL {
         // Kernels always run to their full budget, so the realized density
-        // is misses-per-1000-retired scaled to a 100M-instruction window —
-        // the same arithmetic as `kernel_miss_density`.
+        // is the window's misses per retired instruction, scaled to a
+        // 100M-instruction window.
         let misses = exp.runner.arch_misses(k, seed, insts);
         let ours = misses as f64 * 1000.0 / insts as f64 * 100_000.0;
         let paper = k.paper_misses_per_100m() as f64;

@@ -140,40 +140,18 @@ pub fn run_kernel(kernel: Kernel, seed: u64, insts: u64, config: MachineConfig) 
 /// Architectural miss count for `kernel` over `insts` instructions
 /// (reference-interpreter DTLB, mechanism-independent denominator), under
 /// the same [`epoch_schedule`] renewal schedule the detailed machine uses.
+/// A kernel that halts inside the window counts the misses up to its halt.
+///
+/// # Panics
+///
+/// Panics if the kernel faults.
 #[must_use]
 pub fn arch_misses(kernel: Kernel, seed: u64, insts: u64) -> u64 {
-    arch_misses_with_epoch(kernel, seed, insts, epoch_schedule(insts))
-}
-
-/// [`arch_misses`] with an explicit epoch schedule: the counting DTLB is
-/// flushed after every `epoch` instructions, mirroring the detailed
-/// machine's deterministic epoch resets, so numerator and denominator of a
-/// penalty metric share renewal semantics. `None` keeps one cold TLB for
-/// the whole window.
-#[must_use]
-pub fn arch_misses_with_epoch(
-    kernel: Kernel,
-    seed: u64,
-    insts: u64,
-    epoch: Option<u64>,
-) -> u64 {
     let mut world = kernel_reference(kernel, seed);
-    let mut pos = 0u64;
-    while pos < insts {
-        let step = match epoch {
-            Some(e) => (insts - pos).min(e - (pos % e)),
-            None => insts - pos,
-        };
-        world.run(step);
-        pos += step;
-        // Mirrors the machine: the budget freeze wins over the epoch reset
-        // on the final retirement, so no flush fires at `pos == insts`.
-        if let Some(e) = epoch {
-            if pos.is_multiple_of(e) && pos < insts {
-                world.interp.flush_dtlb();
-            }
-        }
-    }
+    world
+        .interp
+        .run_window(&mut world.pm, &mut world.space, insts, epoch_schedule(insts))
+        .expect("reference program runs clean");
     world.interp.dtlb_misses()
 }
 

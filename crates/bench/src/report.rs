@@ -8,6 +8,8 @@
 use std::io::Write as _;
 use std::time::Duration;
 
+use smtx_util::hist;
+
 use crate::runner::RunnerStats;
 
 /// One experiment's machine-readable summary.
@@ -136,14 +138,13 @@ pub fn runner_stats_json(stats: &RunnerStats, indent: usize) -> String {
         s.push_str(&format!("{pad}\"{name}\": {value},\n"));
     }
     for (name, buckets) in runner_hist_fields(stats) {
-        s.push_str(&format!("{pad}\"{name}\": {},\n", hist_json(&buckets)));
+        s.push_str(&format!("{pad}\"{name}\": {},\n", hist::json(&buckets)));
     }
     s
 }
 
 /// The `(name, buckets)` pairs of the per-stage wall-time histograms, in
-/// serialized order (bucket upper bounds in
-/// [`crate::runner::HIST_BOUNDS_MS`], last bucket unbounded). The plaintext
+/// serialized order ([`hist`] buckets). The plaintext
 /// `/metrics` endpoint renders these as cumulative `_le_` counters, so it
 /// exposes exactly the histograms [`runner_stats_json`] writes.
 #[must_use]
@@ -154,11 +155,6 @@ pub fn runner_hist_fields(stats: &RunnerStats) -> [(&'static str, [u64; 8]); 4] 
         ("ref_ms_hist", stats.ref_ms_hist),
         ("lock_wait_ms_hist", stats.lock_wait_ms_hist),
     ]
-}
-
-fn hist_json(buckets: &[u64; 8]) -> String {
-    let cells = buckets.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ");
-    format!("[{cells}]")
 }
 
 /// The `(name, value)` pairs of the [`RunnerStats`] counters, in serialized
@@ -238,7 +234,7 @@ mod tests {
         }
         for (name, buckets) in runner_hist_fields(&stats) {
             assert!(
-                json.contains(&format!("\"{name}\": {}", hist_json(&buckets))),
+                json.contains(&format!("\"{name}\": {}", hist::json(&buckets))),
                 "histogram {name} missing from {json}"
             );
         }

@@ -33,6 +33,8 @@ use smtx_core::{
     VecSink,
 };
 use smtx_trace::codec;
+use smtx_util::hist::AtomicHist;
+pub use smtx_util::hist::{quantile_ms as hist_quantile_ms, HIST_BOUNDS_MS};
 use smtx_util::ShardMap;
 use smtx_workloads::Kernel;
 
@@ -137,38 +139,25 @@ enum JobKey {
 /// checkpoint serves every configuration of a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum CkKey {
+    /// One kernel on thread 0.
     Single(Kernel, u64, u64),
+    /// A Fig. 7 mix on threads 0–2 (thread `tid` seeded `seed + tid`).
     Mix([Kernel; 3], u64, u64),
 }
 
-/// Upper bounds (milliseconds) of the first seven buckets of every
-/// per-stage wall-time histogram in [`RunnerStats`]; the eighth bucket is
-/// unbounded.
-pub const HIST_BOUNDS_MS: [u64; 7] = [1, 4, 16, 64, 256, 1024, 4096];
-
-/// Bucket-bound quantile over a [`HIST_BOUNDS_MS`]-shaped histogram: the
-/// upper bound (ms) of the first bucket at which the cumulative count
-/// reaches `pct` percent of the total, i.e. a conservative "p50"/"p99"
-/// that never under-reports. Pure integer arithmetic — bucketed
-/// quantiles are noise-resistant, which is what lets CI gate on them.
-/// Returns `None` for an empty histogram; a quantile landing in the
-/// unbounded eighth bucket reports `u64::MAX`.
-#[must_use]
-pub fn hist_quantile_ms(buckets: &[u64; 8], pct: u64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    // Smallest rank whose cumulative share is >= pct/100, without floats.
-    let target = (total * pct).div_ceil(100).max(1);
-    let mut seen = 0u64;
-    for (i, count) in buckets.iter().enumerate() {
-        seen += count;
-        if seen >= target {
-            return Some(HIST_BOUNDS_MS.get(i).copied().unwrap_or(u64::MAX));
+impl CkKey {
+    /// The `RunStart` marker's workload code: the kernel's index in
+    /// [`Kernel::ALL`], `1000 + AsmId` for an assembled program, and
+    /// `u64::MAX` for a mix, which carries no single kernel.
+    fn trace_code(self) -> u64 {
+        match self {
+            CkKey::Single(Kernel::Asm(id), ..) => 1000 + u64::from(id.0),
+            CkKey::Single(kernel, ..) => {
+                Kernel::ALL.iter().position(|&k| k == kernel).map_or(u64::MAX, |i| i as u64)
+            }
+            CkKey::Mix(..) => u64::MAX,
         }
     }
-    Some(u64::MAX)
 }
 
 /// Default cap on the approximate resident bytes of cached fast-forward
@@ -231,8 +220,7 @@ pub struct Runner {
     // Lock-sharded hash maps: workers hash-select one of 16 shard locks,
     // so concurrent lookups rarely collide, and lookups clone the value
     // out so no lock is held across caller work. `no-unordered-iteration`
-    // stays satisfied by construction — `ShardMap::sorted_entries` is the
-    // only multi-entry view, and it key-sorts what it returns.
+    // stays satisfied by construction — `ShardMap` has no multi-entry view.
     sims: ShardMap<RunKey, Arc<RunResult>>,
     refs: ShardMap<(Kernel, u64, u64), u64>,
     mixes: ShardMap<MixKey, u64>,
@@ -255,30 +243,9 @@ pub struct Runner {
     /// segment; one segment is appended per completed run, atomically
     /// under this lock, so parallel workers interleave whole segments.
     trace_file: Mutex<Option<BufWriter<File>>>,
-    ck_ms: [AtomicU64; 8],
-    sim_ms: [AtomicU64; 8],
-    ref_ms: [AtomicU64; 8],
-}
-
-/// Buckets `ms` into a [`HIST_BOUNDS_MS`]-shaped histogram.
-fn record_ms(hist: &[AtomicU64; 8], started: Instant) {
-    let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let idx = HIST_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(HIST_BOUNDS_MS.len());
-    hist[idx].fetch_add(1, Ordering::Relaxed);
-}
-
-fn load_hist(hist: &[AtomicU64; 8]) -> [u64; 8] {
-    std::array::from_fn(|i| hist[i].load(Ordering::Relaxed))
-}
-
-/// Index of `kernel` in [`Kernel::ALL`], the `RunStart` marker's kernel
-/// code (`u64::MAX` tags a Fig. 7 mix segment). Assembled programs live
-/// in a disjoint code range: `1000 + AsmId`.
-fn kernel_code(kernel: Kernel) -> u64 {
-    if let Kernel::Asm(id) = kernel {
-        return 1000 + u64::from(id.0);
-    }
-    Kernel::ALL.iter().position(|&k| k == kernel).map_or(u64::MAX, |i| i as u64)
+    ck_ms: AtomicHist,
+    sim_ms: AtomicHist,
+    ref_ms: AtomicHist,
 }
 
 impl Runner {
@@ -298,10 +265,10 @@ impl Runner {
             use_checkpoints: true,
             idle_skip: true,
             check: false,
-            sims: ShardMap::new(HIST_BOUNDS_MS),
-            refs: ShardMap::new(HIST_BOUNDS_MS),
-            mixes: ShardMap::new(HIST_BOUNDS_MS),
-            checkpoints: ShardMap::new(HIST_BOUNDS_MS),
+            sims: ShardMap::new(),
+            refs: ShardMap::new(),
+            mixes: ShardMap::new(),
+            checkpoints: ShardMap::new(),
             ck_lru: Mutex::new(VecDeque::new()),
             ck_bytes: AtomicU64::new(0),
             ck_cap_bytes: DEFAULT_CHECKPOINT_CAP_BYTES,
@@ -311,9 +278,9 @@ impl Runner {
             sim_cycles: AtomicU64::new(0),
             trace_path: None,
             trace_file: Mutex::new(None),
-            ck_ms: std::array::from_fn(|_| AtomicU64::new(0)),
-            sim_ms: std::array::from_fn(|_| AtomicU64::new(0)),
-            ref_ms: std::array::from_fn(|_| AtomicU64::new(0)),
+            ck_ms: AtomicHist::default(),
+            sim_ms: AtomicHist::default(),
+            ref_ms: AtomicHist::default(),
         }
     }
 
@@ -406,9 +373,9 @@ impl Runner {
             checkpoint_hits: self.ck_hits.load(Ordering::Relaxed),
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             checkpoint_bytes: self.ck_bytes.load(Ordering::Relaxed),
-            checkpoint_ms_hist: load_hist(&self.ck_ms),
-            sim_ms_hist: load_hist(&self.sim_ms),
-            ref_ms_hist: load_hist(&self.ref_ms),
+            checkpoint_ms_hist: self.ck_ms.snapshot(),
+            sim_ms_hist: self.sim_ms.snapshot(),
+            ref_ms_hist: self.ref_ms.snapshot(),
             lock_wait_ms_hist: {
                 let hists = [
                     self.sims.wait_hist(),
@@ -421,30 +388,19 @@ impl Runner {
         }
     }
 
-    /// Appends one completed run's event segment to the trace file
-    /// (created lazily, magic first, on the first segment). No-op when
-    /// tracing is off.
+    /// Appends one completed run's `RunStart`-prefixed event segment to
+    /// the trace file (created lazily, magic first, on the first segment).
     ///
     /// # Panics
     ///
     /// Panics if the trace file cannot be written — a requested trace that
     /// silently vanishes would be worse than a dead experiment.
-    fn append_trace(&self, marker: TraceEvent, m: &mut Machine) {
-        if self.trace_path.is_some() {
-            let events = m.take_tracer().expect("tracer was attached").take_events();
-            self.append_segment(marker, events);
-        }
-    }
-
-    /// Appends one already-collected event segment (prefixed with
-    /// `marker`) to the trace file.
     // lint:allow(no-lock-across-io): the trace-file lock exists precisely to
     // serialize whole-segment appends — each segment's bytes must land
     // contiguously, so the write happens under it.
-    fn append_segment(&self, marker: TraceEvent, mut events: Vec<TraceEvent>) {
+    fn append_segment(&self, events: &[TraceEvent]) {
         let Some(path) = &self.trace_path else { return };
-        events.insert(0, marker);
-        let body = codec::encode_body(&events);
+        let body = codec::encode_body(events);
         let mut guard = self.trace_file.lock().expect("trace file");
         let writer = match guard.as_mut() {
             Some(w) => w,
@@ -503,14 +459,7 @@ impl Runner {
                 }
             }
             self.for_each_parallel(ck_keys.len(), |i| {
-                match ck_keys[i] {
-                    CkKey::Single(kernel, seed, _) => {
-                        let _ = self.checkpoint_single(kernel, seed);
-                    }
-                    CkKey::Mix(mix, seed, _) => {
-                        let _ = self.checkpoint_mix(mix, seed);
-                    }
-                };
+                let _ = self.checkpoint(ck_keys[i]);
             });
         }
         let (refs, sims): (Vec<Job>, Vec<Job>) =
@@ -543,23 +492,8 @@ impl Runner {
         });
     }
 
-    /// The (possibly cached) fast-forward checkpoint for one kernel.
-    fn checkpoint_single(&self, kernel: Kernel, seed: u64) -> Arc<Checkpoint> {
-        let key = CkKey::Single(kernel, seed, self.skip);
-        self.checkpoint_with(key, || make_checkpoint(kernel, seed, self.skip))
-    }
-
-    /// The (possibly cached) fast-forward checkpoint for a Fig. 7 mix.
-    fn checkpoint_mix(&self, mix: [Kernel; 3], seed: u64) -> Arc<Checkpoint> {
-        let key = CkKey::Mix(mix, seed, self.skip);
-        self.checkpoint_with(key, || make_mix_checkpoint(mix, seed, self.skip))
-    }
-
-    fn checkpoint_with(
-        &self,
-        key: CkKey,
-        build: impl FnOnce() -> Checkpoint,
-    ) -> Arc<Checkpoint> {
+    /// The (possibly cached) fast-forward checkpoint `key` names.
+    fn checkpoint(&self, key: CkKey) -> Arc<Checkpoint> {
         if self.use_checkpoints {
             if let Some(hit) = self.checkpoints.get(&key) {
                 self.ck_hits.fetch_add(1, Ordering::Relaxed);
@@ -570,8 +504,11 @@ impl Runner {
         // Built outside any lock; concurrent duplicates (callers racing
         // past prefetch) waste work but cache a deterministic value.
         let t0 = Instant::now();
-        let ck = Arc::new(build());
-        record_ms(&self.ck_ms, t0);
+        let ck = Arc::new(match key {
+            CkKey::Single(kernel, seed, skip) => make_checkpoint(kernel, seed, skip),
+            CkKey::Mix(mix, seed, skip) => make_mix_checkpoint(mix, seed, skip),
+        });
+        self.ck_ms.record(t0.elapsed());
         if !self.use_checkpoints {
             return ck;
         }
@@ -620,11 +557,11 @@ impl Runner {
 
     /// Panics with the collected violation reports if a checked machine
     /// detected any divergence (no-op when `--check` is off).
-    fn assert_check_clean(&self, m: &Machine, what: &str) {
+    fn assert_check_clean(&self, m: &Machine, key: CkKey) {
         let total = m.check_violation_count();
         assert!(
             total == 0,
-            "--check found {total} violation(s) running {what}:\n{}",
+            "--check found {total} violation(s) running {key:?}:\n{}",
             m.check_violations()
                 .iter()
                 .map(ToString::to_string)
@@ -675,19 +612,7 @@ impl Runner {
         // Compute outside the lock; a concurrent duplicate (only possible
         // when callers race past prefetch) wastes work but, the simulator
         // being deterministic, never changes the cached value.
-        let (stats, events) =
-            self.simulate(kernel, seed, insts, config, self.trace_path.is_some());
-        if let Some(events) = events {
-            self.append_segment(
-                TraceEvent::RunStart {
-                    kernel: kernel_code(kernel),
-                    seed,
-                    insts,
-                    digest: key.config_digest,
-                },
-                events,
-            );
-        }
+        let stats = self.simulate_and_trace(CkKey::Single(kernel, seed, self.skip), insts, config);
         let arch_misses = self.arch_misses(kernel, seed, insts);
         let result = Arc::new(RunResult {
             cycles: stats.cycles,
@@ -705,21 +630,27 @@ impl Runner {
         })
     }
 
-    /// The one single-kernel simulation behind [`Runner::run`] and
-    /// [`Runner::run_traced`]: restore the kernel's fast-forward checkpoint
-    /// (the loaded kernel at `skip == 0`), install the window's
-    /// [`epoch_schedule`], and run the budget to its freeze. Returns the
-    /// stats and, when `trace`, the event segment. The machine is dropped
-    /// here, before the caller's reference run or trace encoding, so
-    /// neither adds to its peak memory.
+    /// The one detailed simulation behind [`Runner::run`],
+    /// [`Runner::run_traced`] and [`Runner::run_mix`]: restore the
+    /// workload's fast-forward checkpoint (the loaded workload at
+    /// `skip == 0`) under the runner's idle-skip, `--check` and tracing
+    /// settings, give each application thread (one for a kernel, three for
+    /// a mix) an `insts` budget, and run every budget to its freeze. A
+    /// kernel window installs its [`epoch_schedule`]; a mix runs reset-free.
+    /// Returns the stats and, when `trace`, the `RunStart`-prefixed event
+    /// segment. The machine is dropped here, before the caller's reference
+    /// run or trace encoding, so neither adds to its peak memory.
     fn simulate(
         &self,
-        kernel: Kernel,
-        seed: u64,
+        key: CkKey,
         insts: u64,
         config: &MachineConfig,
         trace: bool,
     ) -> (Stats, Option<Vec<TraceEvent>>) {
+        let (apps, epoch, seed) = match key {
+            CkKey::Single(_, seed, _) => (1, epoch_schedule(insts), seed),
+            CkKey::Mix(_, seed, _) => (3, None, seed),
+        };
         let t0 = Instant::now();
         let mut m = Machine::new(config.clone());
         m.set_idle_skip(self.idle_skip);
@@ -729,15 +660,34 @@ impl Runner {
         if trace {
             m.set_tracer(Some(Box::new(VecSink::default())));
         }
-        m.restore(&self.checkpoint_single(kernel, seed));
-        m.set_epoch_len(epoch_schedule(insts));
-        m.set_budget(0, insts);
-        m.run(cycle_cap(insts));
-        record_ms(&self.sim_ms, t0);
-        self.assert_check_clean(&m, &format!("{} seed {seed}", kernel.name()));
-        assert_eq!(m.stats().retired(0), insts, "{} did not finish", kernel.name());
-        let events = trace.then(|| m.take_tracer().expect("tracer attached above").take_events());
+        m.restore(&self.checkpoint(key));
+        m.set_epoch_len(epoch);
+        for tid in 0..apps {
+            m.set_budget(tid, insts);
+        }
+        m.run(cycle_cap(insts * apps as u64));
+        self.sim_ms.record(t0.elapsed());
+        self.assert_check_clean(&m, key);
+        for tid in 0..apps {
+            assert_eq!(m.stats().retired(tid), insts, "{key:?}: thread {tid} did not finish");
+        }
+        let events = trace.then(|| {
+            let (kernel, digest) = (key.trace_code(), config.digest());
+            let mut events = m.take_tracer().expect("tracer attached above").take_events();
+            events.insert(0, TraceEvent::RunStart { kernel, seed, insts, digest });
+            events
+        });
         (m.stats().clone(), events)
+    }
+
+    /// [`Runner::simulate`], appending the segment to the trace file when
+    /// tracing is on (`--trace PATH`).
+    fn simulate_and_trace(&self, key: CkKey, insts: u64, config: &MachineConfig) -> Stats {
+        let (stats, events) = self.simulate(key, insts, config, self.trace_path.is_some());
+        if let Some(events) = events {
+            self.append_segment(&events);
+        }
+        stats
     }
 
     /// Runs one kernel point with an in-memory tracer attached and returns
@@ -759,10 +709,9 @@ impl Runner {
         insts: u64,
         config: &MachineConfig,
     ) -> Vec<u8> {
-        let (_, events) = self.simulate(kernel, seed, insts, config, true);
-        let mut events = events.expect("the run was traced");
-        let digest = config.digest();
-        events.insert(0, TraceEvent::RunStart { kernel: kernel_code(kernel), seed, insts, digest });
+        let key = CkKey::Single(kernel, seed, self.skip);
+        let (_, events) = self.simulate(key, insts, config, true);
+        let events = events.expect("the run was traced");
         let mut out = codec::MAGIC.to_vec();
         out.extend_from_slice(&codec::encode_body(&events));
         out
@@ -783,17 +732,17 @@ impl Runner {
         let misses = if self.skip == 0 {
             let t0 = Instant::now();
             let misses = crate::arch_misses(kernel, seed, insts);
-            record_ms(&self.ref_ms, t0);
+            self.ref_ms.record(t0.elapsed());
             misses
         } else {
             // Misses inside the measurement window: continue the functional
             // model from the checkpoint with a cold DTLB — matching the
             // restored machine's cold microarchitectural TLB — flushed on
             // the window's epoch schedule like the detailed machine's.
-            let ck = self.checkpoint_single(kernel, seed);
+            let ck = self.checkpoint(CkKey::Single(kernel, seed, self.skip));
             let t0 = Instant::now();
             let misses = ck.arch_misses_in_window(0, insts, epoch_schedule(insts));
-            record_ms(&self.ref_ms, t0);
+            self.ref_ms.record(t0.elapsed());
             misses
         };
         self.refs.get_or_insert_with(key, || {
@@ -850,31 +799,8 @@ impl Runner {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
-        let mut m = Machine::new(config.clone());
-        m.set_idle_skip(self.idle_skip);
-        if self.check {
-            m.set_check(Some(CheckConfig::default()));
-        }
-        if self.trace_path.is_some() {
-            m.set_tracer(Some(Box::new(VecSink::default())));
-        }
-        m.restore(&self.checkpoint_mix(mix, seed));
-        for tid in 0..3 {
-            m.set_budget(tid, insts);
-        }
-        let t0 = Instant::now();
-        m.run(cycle_cap(insts * 3));
-        record_ms(&self.sim_ms, t0);
-        // Mix segments carry no single kernel; `u64::MAX` tags them.
-        self.append_trace(
-            TraceEvent::RunStart { kernel: u64::MAX, seed, insts, digest: key.config_digest },
-            &mut m,
-        );
-        self.assert_check_clean(&m, &format!("{mix:?} seed {seed}"));
-        for tid in 0..3 {
-            assert_eq!(m.stats().retired(tid), insts, "{mix:?} thread {tid} unfinished");
-        }
-        let cycles = m.stats().cycles;
+        let stats = self.simulate_and_trace(CkKey::Mix(mix, seed, self.skip), insts, config);
+        let cycles = stats.cycles;
         self.mixes.get_or_insert_with(key, || {
             self.unique_runs.fetch_add(1, Ordering::Relaxed);
             self.sim_cycles.fetch_add(cycles, Ordering::Relaxed);
@@ -940,25 +866,6 @@ pub fn perfect_of(config: &MachineConfig) -> MachineConfig {
 mod tests {
     use super::*;
     use crate::config_with_idle;
-
-    #[test]
-    fn hist_quantile_is_a_conservative_bucket_bound() {
-        assert_eq!(hist_quantile_ms(&[0; 8], 50), None);
-        // 10 observations, all in the ≤4 ms bucket.
-        let h = [0, 10, 0, 0, 0, 0, 0, 0];
-        assert_eq!(hist_quantile_ms(&h, 50), Some(4));
-        assert_eq!(hist_quantile_ms(&h, 99), Some(4));
-        // 98 fast + 2 slow (nearest-rank): p50 stays fast, p99's rank-99
-        // observation lands in the slow bucket.
-        let mut h = [98, 0, 0, 0, 0, 0, 0, 0];
-        h[5] = 2;
-        assert_eq!(hist_quantile_ms(&h, 50), Some(1));
-        assert_eq!(hist_quantile_ms(&h, 98), Some(1));
-        assert_eq!(hist_quantile_ms(&h, 99), Some(1024));
-        // The unbounded tail reports u64::MAX rather than pretending.
-        let h = [0, 0, 0, 0, 0, 0, 0, 3];
-        assert_eq!(hist_quantile_ms(&h, 50), Some(u64::MAX));
-    }
 
     #[test]
     fn repeated_queries_hit_the_cache() {
@@ -1093,6 +1000,27 @@ mod tests {
         let second = std::fs::read(&path).expect("trace still there");
         let _ = std::fs::remove_file(&path);
         assert_eq!(first.len(), second.len(), "cache hits append nothing");
+    }
+
+    #[test]
+    fn a_traced_mix_writes_one_tagged_segment_ending_at_its_cycles() {
+        let mix = [Kernel::Compress, Kernel::Gcc, Kernel::Murphi];
+        let cfg = config_with_idle(ExnMechanism::Multithreaded, 3);
+        let path = std::env::temp_dir()
+            .join(format!("smtx-runner-mix-trace-{}.bin", std::process::id()));
+        let traced = Runner::new(1).with_trace(Some(path.clone()));
+        let cycles = traced.run_mix(mix, 42, 1_000, &cfg);
+        assert_eq!(cycles, Runner::new(1).run_mix(mix, 42, 1_000, &cfg), "tracing is observation-only");
+        let bytes = std::fs::read(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        let events = codec::decode(&bytes).expect("trace decodes");
+        assert!(
+            matches!(events.first(), Some(TraceEvent::RunStart { kernel: u64::MAX, insts: 1_000, .. })),
+            "a mix segment opens with the u64::MAX RunStart marker"
+        );
+        let starts = events.iter().filter(|e| matches!(e, TraceEvent::RunStart { .. })).count();
+        assert_eq!(starts, 1, "one segment");
+        assert_eq!(events.last(), Some(&TraceEvent::End { cycle: cycles }));
     }
 
     #[test]

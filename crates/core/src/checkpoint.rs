@@ -160,11 +160,8 @@ impl Checkpoint {
     /// metric measured from this checkpoint. Runs on a copy-on-write clone
     /// of the checkpoint's memory, leaving the checkpoint reusable.
     ///
-    /// `epoch` mirrors the detailed machine's epoch-reset schedule (see
-    /// `Machine::set_epoch_len`): the counting DTLB is flushed after every
-    /// `epoch` instructions of the window, so the miss denominator shares
-    /// the renewal semantics of the flushed detailed-model TLB. `None`
-    /// keeps the pre-epoch behavior (one cold TLB for the whole window).
+    /// `epoch` is the window's epoch-reset schedule, applied as in
+    /// [`Interpreter::run_window`].
     ///
     /// # Panics
     ///
@@ -180,29 +177,10 @@ impl Checkpoint {
         let mut pm = self.pm.clone();
         let mut space = self.spaces[tc.space].clone();
         let mut interp = Interpreter::from_state(tc.pc, tc.int_regs, tc.fp_regs);
-        let mut pos = 0u64;
-        while pos < insts {
-            let step = match epoch {
-                Some(e) => (insts - pos).min(e - (pos % e)),
-                None => insts - pos,
-            };
-            let summary = interp
-                .run(&mut pm, &mut space, step)
-                .expect("window continuation executes cleanly");
-            assert_eq!(
-                summary.retired, step,
-                "thread {tid} halted inside the measurement window"
-            );
-            pos += step;
-            // The machine's budget freeze wins over the epoch reset on the
-            // final retirement, so no flush fires at `pos == insts` (and a
-            // trailing flush could not change the count anyway).
-            if let Some(e) = epoch {
-                if pos.is_multiple_of(e) && pos < insts {
-                    interp.flush_dtlb();
-                }
-            }
-        }
+        let summary = interp
+            .run_window(&mut pm, &mut space, insts, epoch)
+            .expect("window continuation executes cleanly");
+        assert_eq!(summary.retired, insts, "thread {tid} halted inside the measurement window");
         interp.dtlb_misses()
     }
 }

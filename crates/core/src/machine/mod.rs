@@ -306,16 +306,6 @@ impl Machine {
         &self.pm
     }
 
-    /// Simulated physical memory, mutable (for workload setup).
-    pub fn phys_mut(&mut self) -> &mut PhysMem {
-        &mut self.pm
-    }
-
-    /// The frame allocator (for workload setup).
-    pub fn alloc_mut(&mut self) -> &mut PhysAlloc {
-        &mut self.alloc
-    }
-
     /// The address space with index `idx`.
     ///
     /// # Panics

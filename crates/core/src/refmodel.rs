@@ -297,9 +297,8 @@ impl Interpreter {
     }
 
     /// Flushes the architectural miss-counting DTLB (entries only; the
-    /// accumulated miss count is preserved). The bench layer applies this
-    /// on the machine's epoch-reset schedule so the penalty-per-miss
-    /// denominator shares the detailed model's TLB renewal semantics.
+    /// accumulated miss count is preserved). [`Interpreter::run_window`]
+    /// applies this on the machine's epoch-reset schedule.
     pub fn flush_dtlb(&mut self) {
         self.dtlb.flush();
     }
@@ -393,6 +392,39 @@ impl Interpreter {
             let pc = self.pc;
             let inst = sweep.fetch(pm, space, pc)?;
             self.execute(&mut sweep, pm, space, pc, inst)?;
+        }
+        Ok(RunSummary { retired: self.retired - start, halted: self.halted })
+    }
+
+    /// Runs a measurement window of up to `insts` instructions or until
+    /// `HALT`, flushing the miss-counting DTLB after every `epoch`
+    /// instructions of the window (`None`: one DTLB for the whole window).
+    /// This mirrors the detailed machine's epoch resets
+    /// (`Machine::set_epoch_len`), so the miss denominator of a penalty
+    /// metric shares its TLB renewal. The machine's budget freeze wins over
+    /// the reset on the final retirement, so no flush fires at the window's
+    /// end. This is the one reference loop behind every architectural miss
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`RefError`] encountered (see
+    /// [`Interpreter::step`]).
+    pub fn run_window(
+        &mut self,
+        pm: &mut PhysMem,
+        space: &mut AddressSpace,
+        insts: u64,
+        epoch: Option<u64>,
+    ) -> Result<RunSummary, RefError> {
+        let start = self.retired;
+        let mut pos = 0u64;
+        while pos < insts && !self.halted {
+            let step = epoch.map_or(insts - pos, |e| (insts - pos).min(e - pos % e));
+            pos += self.run(pm, space, step)?.retired;
+            if epoch.is_some_and(|e| pos.is_multiple_of(e)) && pos < insts {
+                self.flush_dtlb();
+            }
         }
         Ok(RunSummary { retired: self.retired - start, halted: self.halted })
     }

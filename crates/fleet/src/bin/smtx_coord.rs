@@ -5,12 +5,11 @@
 //! node death. Blocks until a client posts `/v1/shutdown` (pass
 //! `{"fleet": true}` to shut the nodes down too). See DESIGN.md §15.
 
-use smtx_fleet::{CoordConfig, Placement};
+use smtx_fleet::CoordConfig;
 
 const USAGE: &str = "usage: smtx-coord --node HOST:PORT [--node HOST:PORT ...] \
- [--addr HOST] [--port N] [--placement shard|round-robin] \
- [--dispatchers N] [--steal-depth N] [--queue-cap N] [--results-cap N] \
- [--deadline-ms N] [--node-timeout-ms N] [--poll-ms MAX]\n\
+ [--addr HOST] [--port N] [--dispatchers N] [--steal-depth N] \
+ [--queue-cap N] [--results-cap N] [--deadline-ms N] [--node-timeout-ms N] [--poll-ms MAX]\n\
  (--poll-ms: the longest status-poll interval, ms, default 20; polls of a node job \
  start 1 ms after its submit and double)";
 
@@ -37,11 +36,6 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
             "--node" => opts.config.nodes.push(value_for("--node")?),
             "--addr" => opts.addr = value_for("--addr")?,
             "--port" => opts.port = num("--port", &value_for("--port")?)?,
-            "--placement" => {
-                let v = value_for("--placement")?;
-                opts.config.placement = Placement::from_name(&v)
-                    .ok_or_else(|| format!("--placement: unknown policy `{v}`"))?;
-            }
             "--dispatchers" => {
                 opts.config.dispatchers = num("--dispatchers", &value_for("--dispatchers")?)?;
             }
@@ -103,4 +97,23 @@ fn main() {
     println!("smtx-coord listening on {} ({nodes} nodes)", handle.addr());
     handle.join();
     println!("smtx-coord drained and stopped");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn placement_is_not_a_flag() {
+        // Placement is always by spec-digest shard; `main` exits 2 on this.
+        for value in ["shard", "round-robin"] {
+            let err = parse(argv(&["--node", "a:1", "--placement", value])).err();
+            assert_eq!(err.as_deref(), Some("unknown argument `--placement`"));
+        }
+        assert!(parse(argv(&["--node", "a:1", "--steal-depth", "3"])).is_ok());
+    }
 }

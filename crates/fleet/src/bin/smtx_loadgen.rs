@@ -3,10 +3,11 @@
 //! Drives a `smtxd` node or an `smtx-coord` coordinator (the API is the
 //! same) with generated kernel jobs, measures client-observed
 //! submit-to-terminal latency into the fleet's shared histogram schema
-//! ([`HIST_BOUNDS_MS`] buckets), and reports p50/p99 via the same
-//! nearest-rank bucket quantile the dashboards use
-//! ([`hist_quantile_ms`]). With `--slo-p50-ms`/`--slo-p99-ms` it exits
-//! nonzero when a budget is blown — that is the CI `fleet-slo` gate.
+//! ([`smtx_util::hist`]), and reports p50/p99 via the same nearest-rank
+//! bucket quantile the dashboards use ([`hist::quantile_ms`]). Status
+//! polls follow the coordinator's schedule ([`PollPace`], capped at
+//! `--poll-ms`). With `--slo-p50-ms`/`--slo-p99-ms` it exits nonzero when
+//! a budget is blown — that is the CI `fleet-slo` gate.
 //!
 //! Modes:
 //!
@@ -25,10 +26,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use smtx_bench::runner::{hist_quantile_ms, HIST_BOUNDS_MS};
 use smtx_rng::{rngs::StdRng, RngExt, SeedableRng};
-use smtx_serve::http::client_request;
+use smtx_serve::http::{client_request, PollPace};
 use smtx_serve::json::{quote, Json};
+use smtx_util::hist::{self, AtomicHist, HIST_BOUNDS_MS};
 
 const USAGE: &str = "usage: smtx-loadgen --addr HOST:PORT [--mode closed|open|burst] \
  [--conns N] [--jobs N] [--rate PER_SEC] [--kernel NAME] [--insts N] [--spread N] \
@@ -153,27 +154,11 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Opts, String> {
 /// Shared run tally: one latency histogram plus outcome counters.
 #[derive(Default)]
 struct Tally {
-    hist: [AtomicU64; 8],
+    hist: AtomicHist,
     ok: AtomicU64,
     failed: AtomicU64,
     rejected: AtomicU64,
     transport_errors: AtomicU64,
-}
-
-impl Tally {
-    fn observe(&self, elapsed: Duration) {
-        let ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-        let idx = HIST_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(HIST_BOUNDS_MS.len());
-        self.hist[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot_hist(&self) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for (slot, c) in out.iter_mut().zip(self.hist.iter()) {
-            *slot = c.load(Ordering::Relaxed);
-        }
-        out
-    }
 }
 
 fn spec_body(opts: &Opts, seed: u64) -> String {
@@ -234,12 +219,13 @@ fn run_job(opts: &Opts, tally: &Tally, seed: u64) {
             }
         }
     };
+    let mut pace = PollPace::new(Duration::from_millis(opts.poll_ms.max(1)));
     loop {
         if overall.elapsed() > timeout {
             tally.failed.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
+        pace.wait();
         let st = match client_request(
             &opts.addr,
             "GET",
@@ -259,12 +245,12 @@ fn run_job(opts: &Opts, tally: &Tally, seed: u64) {
         match state.as_deref() {
             Some("done") => {
                 tally.ok.fetch_add(1, Ordering::Relaxed);
-                tally.observe(overall.elapsed());
+                tally.hist.record(overall.elapsed());
                 return;
             }
             Some("failed") => {
                 tally.failed.fetch_add(1, Ordering::Relaxed);
-                tally.observe(overall.elapsed());
+                tally.hist.record(overall.elapsed());
                 return;
             }
             Some(_) => {}
@@ -351,37 +337,6 @@ fn run_burst(opts: &Arc<Opts>, tally: &Arc<Tally>) {
     }
 }
 
-/// Reconstructs one `[u64; 8]` per-bucket histogram from the cumulative
-/// `<prefix>_le_*` lines of a `/metrics` exposition (either daemon's).
-fn parse_server_hist(text: &str, prefix: &str) -> Option<[u64; 8]> {
-    let mut cumulative = [None::<u64>; 8];
-    for line in text.lines() {
-        let rest = match line.strip_prefix(prefix) {
-            Some(r) => r,
-            None => continue,
-        };
-        let (suffix, value) = rest.split_once(' ')?;
-        let value: u64 = value.trim().parse().ok()?;
-        let ix = match suffix.strip_prefix("_le_") {
-            Some("inf") => HIST_BOUNDS_MS.len(),
-            Some(bound) => {
-                let b: u64 = bound.parse().ok()?;
-                HIST_BOUNDS_MS.iter().position(|&x| x == b)?
-            }
-            None => continue,
-        };
-        cumulative[ix] = Some(value);
-    }
-    let mut out = [0u64; 8];
-    let mut prev = 0u64;
-    for (slot, c) in out.iter_mut().zip(cumulative.iter()) {
-        let c = (*c)?;
-        *slot = c.saturating_sub(prev);
-        prev = c;
-    }
-    Some(out)
-}
-
 fn fmt_quantile(q: Option<u64>) -> String {
     match q {
         None => "null".to_string(),
@@ -409,9 +364,9 @@ fn main() {
     }
     let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
 
-    let hist = tally.snapshot_hist();
-    let p50 = hist_quantile_ms(&hist, 50);
-    let p99 = hist_quantile_ms(&hist, 99);
+    let latency = tally.hist.snapshot();
+    let p50 = hist::quantile_ms(&latency, 50);
+    let p99 = hist::quantile_ms(&latency, 99);
     let ok = tally.ok.load(Ordering::Relaxed);
     let failed = tally.failed.load(Ordering::Relaxed);
     let rejected = tally.rejected.load(Ordering::Relaxed);
@@ -424,12 +379,12 @@ fn main() {
         .ok()
         .and_then(|r| {
             ["smtxd_exec_ms", "smtx_coord_exec_ms"].iter().find_map(|prefix| {
-                parse_server_hist(&r.body, prefix).map(|h| {
+                hist::parse(&r.body, prefix).map(|h| {
                     format!(
                         "{{\"source\": {}, \"p50_ms\": {}, \"p99_ms\": {}}}",
                         quote(prefix),
-                        fmt_quantile(hist_quantile_ms(&h, 50)),
-                        fmt_quantile(hist_quantile_ms(&h, 99))
+                        fmt_quantile(hist::quantile_ms(&h, 50)),
+                        fmt_quantile(hist::quantile_ms(&h, 99))
                     )
                 })
             })
@@ -471,18 +426,6 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn server_hist_round_trips_cumulative_exposition() {
-        let text = "smtxd_exec_ms_le_1 2\nsmtxd_exec_ms_le_4 2\nsmtxd_exec_ms_le_16 5\n\
-                    smtxd_exec_ms_le_64 5\nsmtxd_exec_ms_le_256 5\nsmtxd_exec_ms_le_1024 6\n\
-                    smtxd_exec_ms_le_4096 6\nsmtxd_exec_ms_le_inf 7\nother 9\n";
-        let h = parse_server_hist(text, "smtxd_exec_ms").unwrap();
-        assert_eq!(h, [2, 0, 3, 0, 0, 1, 0, 1]);
-        assert_eq!(hist_quantile_ms(&h, 50), Some(16));
-        assert_eq!(hist_quantile_ms(&h, 99), Some(u64::MAX));
-        assert!(parse_server_hist(text, "smtx_coord_exec_ms").is_none());
-    }
 
     #[test]
     fn seed_draws_are_reproducible_and_bounded() {

@@ -9,16 +9,15 @@
 //!
 //! * **Sharded placement** — each job's home node is a pure function of
 //!   its spec digest ([`home_of`]), so the same spec always lands on the
-//!   same node and re-uses that node's runner caches. `--placement` can
-//!   swap in round-robin placement.
+//!   same node and re-uses that node's runner caches.
 //! * **Work stealing** — when a job's home node already has
 //!   `steal_depth` jobs outstanding, the job is dispatched to the
 //!   least-loaded alive node instead (counted in `smtx_coord_steals`).
 //! * **Shared result store** — the job table's finished records are the
 //!   fleet's content-addressed result store: keyed by spec digest, each
 //!   remembering its producing node. A submission whose result is stored
-//!   is answered without dispatching; hits produced by a *different* node
-//!   than placement would pick now are counted as
+//!   is answered without dispatching; hits produced by a node other than
+//!   the spec's home (a steal or a failover ran it) are counted as
 //!   `smtx_coord_store_cross_node_hits`.
 //! * **Failure redispatch** — a node that stops answering mid-job is
 //!   marked dead; its in-flight jobs re-queue (front of the line) and run
@@ -32,46 +31,14 @@
 //! identical on the node and the coordinator.
 
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use smtx_serve::http::client_request;
+use smtx_serve::http::{client_request, PollPace};
 use smtx_serve::json::Json;
 use smtx_serve::server::{self, Handle};
 use smtx_serve::{Exec, Executor, JobSpec, Service, ServiceConfig};
 use smtx_util::StableHasher;
-
-/// How a job picks its node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Home node = spec digest modulo node count ([`home_of`]): the same
-    /// spec always lands on the same node and reuses its runner caches.
-    Shard,
-    /// Rotate through nodes in dispatch order. Store hits do **not**
-    /// advance the pointer — a served-from-store job dispatched nothing.
-    RoundRobin,
-}
-
-impl Placement {
-    /// Parses a `--placement` flag value.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Placement> {
-        match name {
-            "shard" => Some(Placement::Shard),
-            "round-robin" => Some(Placement::RoundRobin),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Placement::Shard => "shard",
-            Placement::RoundRobin => "round-robin",
-        }
-    }
-}
 
 /// The home node of job `id` among `nodes` nodes: a stable hash of the
 /// digest, so placement is a pure function of the spec (and of nothing
@@ -86,18 +53,11 @@ pub fn home_of(id: &str, nodes: usize) -> usize {
     usize::try_from(h.finish() % nodes as u64).unwrap_or(0)
 }
 
-/// Delay from a forwarded submit to the first status poll. A job the node
-/// queued is often a runner-cache hit done within it; slower jobs back off
-/// to [`CoordConfig::poll_ms`].
-const FIRST_POLL: Duration = Duration::from_millis(1);
-
 /// Tuning knobs for one coordinator instance.
 #[derive(Debug, Clone)]
 pub struct CoordConfig {
     /// Node addresses (`HOST:PORT`), in shard order.
     pub nodes: Vec<String>,
-    /// Placement policy.
-    pub placement: Placement,
     /// Dispatcher threads forwarding jobs to nodes.
     pub dispatchers: usize,
     /// Steal threshold: a home node with this many jobs outstanding is
@@ -123,7 +83,6 @@ impl Default for CoordConfig {
     fn default() -> CoordConfig {
         CoordConfig {
             nodes: Vec::new(),
-            placement: Placement::Shard,
             dispatchers: 8,
             steal_depth: 2,
             queue_cap: 256,
@@ -174,12 +133,10 @@ pub struct Remote {
     pub config: CoordConfig,
     /// Fleet members, in shard order.
     pub nodes: Vec<Node>,
-    /// The round-robin pointer.
-    rr_next: AtomicUsize,
     /// Submissions answered from a stored result (no dispatch).
     store_hits: AtomicU64,
-    /// Store hits whose producing node differs from where placement would
-    /// send the job now — one node's work reused in another's stead.
+    /// Store hits whose producing node is not the spec's home — one node's
+    /// work reused in another's stead.
     store_cross_node_hits: AtomicU64,
     /// Results fetched from nodes into the store.
     store_insertions: AtomicU64,
@@ -211,7 +168,6 @@ impl Remote {
         Remote {
             config,
             nodes,
-            rr_next: AtomicUsize::new(0),
             store_hits: AtomicU64::new(0),
             store_cross_node_hits: AtomicU64::new(0),
             store_insertions: AtomicU64::new(0),
@@ -223,16 +179,6 @@ impl Remote {
 
     fn inc(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Where placement *would* send job `id` right now, without committing
-    /// anything (round-robin does not advance). Used to classify store
-    /// hits as same-node or cross-node.
-    fn peek_target(&self, id: &str) -> usize {
-        match self.config.placement {
-            Placement::Shard => home_of(id, self.nodes.len()),
-            Placement::RoundRobin => self.rr_next.load(Ordering::Relaxed) % self.nodes.len().max(1),
-        }
     }
 
     /// The alive node with the fewest outstanding jobs (ties to the lowest
@@ -247,8 +193,8 @@ impl Remote {
     }
 
     /// Commits a placement for `id` and reserves a slot on the chosen node:
-    /// home per policy, stolen to the least-loaded node when the home is
-    /// dead or `steal_depth` deep. The home's depth check and reservation
+    /// its home ([`home_of`]), stolen to the least-loaded node when the home
+    /// is dead or `steal_depth` deep. The home's depth check and reservation
     /// are one atomic step, so concurrent dispatchers cannot all squeeze
     /// onto a shallow home.
     fn place(&self, id: &str) -> Option<usize> {
@@ -256,10 +202,7 @@ impl Remote {
         if n == 0 {
             return None;
         }
-        let home = match self.config.placement {
-            Placement::Shard => home_of(id, n),
-            Placement::RoundRobin => self.rr_next.fetch_add(1, Ordering::Relaxed) % n,
-        };
+        let home = home_of(id, n);
         let node = &self.nodes[home];
         let reserved = node.alive()
             && node
@@ -303,8 +246,7 @@ impl Remote {
     /// Forwards one job to node `ix` over its public API and waits for a
     /// terminal state, bounded by the job's deadline. A submit the node
     /// answers `done` (its dedup or store hit) goes straight to the result
-    /// fetch; otherwise status polls start [`FIRST_POLL`] after the submit
-    /// and their interval doubles up to `poll_ms`.
+    /// fetch; otherwise status polls follow [`PollPace`] up to `poll_ms`.
     fn forward(&self, ix: usize, id: &str, spec: &JobSpec, deadline: Instant) -> Exec {
         let expired = || Exec::Failed { error: "deadline exceeded".to_string(), transient: true };
         let addr = &self.nodes[ix].addr;
@@ -342,14 +284,12 @@ impl Remote {
         let submitted = Json::parse(&resp.body).ok();
         let mut done = submitted.as_ref().and_then(|v| v.get("state")).and_then(Json::as_str)
             == Some("done");
-        let cap = Duration::from_millis(self.config.poll_ms.max(1));
-        let mut wait = FIRST_POLL.min(cap);
+        let mut pace = PollPace::new(Duration::from_millis(self.config.poll_ms.max(1)));
         while !done {
             if Instant::now() > deadline {
                 return expired();
             }
-            std::thread::sleep(wait);
-            wait = (wait * 2).min(cap);
+            pace.wait();
             let path = format!("/v1/jobs/{id}");
             let st = match client_request(addr, "GET", &path, None, self.node_timeout(deadline)) {
                 Ok(r) => r,
@@ -413,7 +353,7 @@ impl Executor for Remote {
 
     fn hit(&self, id: &str, node: Option<usize>) {
         Self::inc(&self.store_hits);
-        if node != Some(self.peek_target(id)) {
+        if node != Some(home_of(id, self.nodes.len())) {
             Self::inc(&self.store_cross_node_hits);
         }
     }
@@ -496,10 +436,9 @@ mod tests {
     use smtx_serve::http::{BadRequest, Request};
     use std::sync::{Arc, Mutex};
 
-    fn remote(placement: Placement, steal_depth: u64, nodes: &[&str]) -> Remote {
+    fn remote(steal_depth: u64, nodes: &[&str]) -> Remote {
         Remote::new(CoordConfig {
             nodes: nodes.iter().map(|s| s.to_string()).collect(),
-            placement,
             steal_depth,
             ..CoordConfig::default()
         })
@@ -605,16 +544,8 @@ mod tests {
     }
 
     #[test]
-    fn placement_names_round_trip() {
-        for p in [Placement::Shard, Placement::RoundRobin] {
-            assert_eq!(Placement::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Placement::from_name("random"), None);
-    }
-
-    #[test]
     fn deep_home_steals_to_the_least_loaded_node() {
-        let r = remote(Placement::Shard, 1, &["a:1", "b:2", "c:3"]);
+        let r = remote(1, &["a:1", "b:2", "c:3"]);
         let id = "some-job";
         let home = home_of(id, 3);
         // Shallow home: stays put, no steal; the slot is now taken.
@@ -637,22 +568,26 @@ mod tests {
 
     #[test]
     fn store_hits_classify_cross_node_against_the_next_placement() {
-        let r = remote(Placement::RoundRobin, 2, &["a:1", "b:2"]);
-        // Round-robin would target node 0 now: node 1's result is reused
-        // across the fleet boundary, node 0's is not.
-        r.hit("x", Some(1));
-        r.hit("y", Some(0));
+        let r = remote(2, &["a:1", "b:2"]);
+        let id = "some-job";
+        let (home, survivor) = (home_of(id, 2), 1 - home_of(id, 2));
+        // A result the home produced is a same-node hit.
+        assert_eq!(r.place(id), Some(home));
+        r.hit(id, Some(home));
+        assert_eq!(r.store_cross_node_hits.load(Ordering::Relaxed), 0);
+        // With the home dead, failover places the job on the survivor, and
+        // a hit on the survivor's result is reused across the fleet
+        // boundary.
+        r.nodes[home].alive.store(false, Ordering::Relaxed);
+        assert_eq!(r.place(id), Some(survivor));
+        r.hit(id, Some(survivor));
         assert_eq!(r.store_hits.load(Ordering::Relaxed), 2);
         assert_eq!(r.store_cross_node_hits.load(Ordering::Relaxed), 1);
-        // A hit does not advance the pointer; a placement does.
-        assert_eq!(r.place("z"), Some(0));
-        r.hit("y", Some(0));
-        assert_eq!(r.store_cross_node_hits.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn metrics_text_carries_fleet_gauges() {
-        let r = remote(Placement::Shard, 2, &["a:1", "b:2"]);
+        let r = remote(2, &["a:1", "b:2"]);
         r.nodes[1].alive.store(false, Ordering::Relaxed);
         let table = ServiceConfig { workers: 8, ..ServiceConfig::default() };
         let text = Service::new(table, r).metrics_text();
@@ -667,7 +602,7 @@ mod tests {
 
     #[test]
     fn shutdown_reply_reads_the_fleet_flag() {
-        let r = remote(Placement::Shard, 2, &["a:1"]);
+        let r = remote(2, &["a:1"]);
         assert!(!r.shutdown_reply(b"").1);
         let (body, fleet) = r.shutdown_reply(br#"{"fleet": true}"#);
         assert!(fleet);

@@ -28,4 +28,4 @@
 
 pub mod coord;
 
-pub use coord::{home_of, start, CoordConfig, CoordHandle, Placement, Remote};
+pub use coord::{home_of, start, CoordConfig, CoordHandle, Remote};

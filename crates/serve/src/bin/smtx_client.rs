@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use smtx_rng::{rngs::StdRng, RngExt, SeedableRng};
-use smtx_serve::http::{client_request, client_stream};
+use smtx_serve::http::{client_request, client_stream, PollPace};
 use smtx_serve::json::{quote, Json};
 
 const USAGE: &str = "usage: smtx-client [--addr HOST:PORT] [--retries N] [--backoff-ms B] <command>
@@ -213,7 +213,9 @@ fn submit_body(s: &Submit) -> String {
 
 /// Polls until the job leaves queued/running, then fetches the result.
 fn wait_result(conn: &Conn, id: &str) -> String {
+    let mut pace = PollPace::new(Duration::from_millis(100));
     loop {
+        pace.wait();
         let (status, body) = conn.request("GET", &format!("/v1/jobs/{id}"), None);
         if status != 200 {
             eprintln!("error: status poll failed ({status}): {body}");
@@ -236,7 +238,7 @@ fn wait_result(conn: &Conn, id: &str) -> String {
                 eprintln!("error: job failed: {body}");
                 std::process::exit(1);
             }
-            _ => std::thread::sleep(Duration::from_millis(100)),
+            _ => {}
         }
     }
 }

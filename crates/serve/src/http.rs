@@ -2,10 +2,12 @@
 //!
 //! `smtxd` speaks exactly the subset its API needs: one request per
 //! connection (`Connection: close` semantics), `Content-Length` bodies,
-//! bounded header and body sizes so a malformed or hostile client cannot
-//! balloon memory, and socket timeouts so a stalled client cannot pin an
-//! accept thread. The same module carries the tiny client used by
-//! `smtx-client` and the loopback tests.
+//! and bounded header and body sizes so a malformed or hostile client
+//! cannot balloon memory. The server side is [`try_parse`] and
+//! [`response_head`], driven by the reactor ([`crate::eventloop`]). The
+//! same module carries the tiny client used by `smtx-client`, the
+//! coordinator, the load generator and the loopback tests, with the
+//! status-poll schedule they share ([`PollPace`]).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -39,43 +41,18 @@ impl std::fmt::Display for BadRequest {
     }
 }
 
-fn read_line(r: &mut impl BufRead) -> Result<String, BadRequest> {
-    let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match r.read(&mut byte) {
-            Ok(0) => break,
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(BadRequest("header line too long".to_string()));
-                }
-            }
-            Err(e) => return Err(BadRequest(format!("read: {e}"))),
-        }
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| BadRequest("non-UTF-8 header".to_string()))
-}
-
 /// Parses one request out of the front of `buf` without consuming it.
 ///
-/// This is the nonblocking twin of [`read_request`], driven by the event
-/// loop as bytes arrive: `Ok(None)` means the head or body is still
-/// incomplete (read more), `Ok(Some((req, consumed)))` hands back the
-/// request and how many bytes of `buf` it occupied, and `Err` is a
-/// malformed request the caller answers 400 to. The same bounds apply:
-/// [`MAX_LINE`], [`MAX_HEADERS`], [`MAX_BODY`] — and an incomplete head
+/// Driven by the event loop as bytes arrive: `Ok(None)` means the head or
+/// body is still incomplete (read more), `Ok(Some((req, consumed)))` hands
+/// back the request and how many bytes of `buf` it occupied, and `Err` is
+/// a malformed request the caller answers 400 to. Bounded by
+/// [`MAX_LINE`], [`MAX_HEADERS`] and [`MAX_BODY`] — and an incomplete head
 /// larger than every header could legally be is rejected rather than
 /// buffered forever.
 pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, BadRequest> {
     // Find the end of the head: the first empty line. Lines end at `\n`
-    // with an optional `\r` before it, mirroring `read_line`.
+    // with an optional `\r` before it.
     let mut head_end = None;
     let mut line_start = 0usize;
     for (i, &b) in buf.iter().enumerate() {
@@ -146,50 +123,6 @@ pub fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, BadRequest> {
     Ok(Some((Request { method, path, body }, head_end + content_length)))
 }
 
-/// Reads one request from `stream`. Returns `Err` for anything malformed;
-/// the caller answers 400 and closes.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, BadRequest> {
-    let mut r = BufReader::new(stream);
-    let start = read_line(&mut r)?;
-    let mut parts = start.split_whitespace();
-    let method = parts.next().unwrap_or_default().to_string();
-    let target = parts.next().unwrap_or_default().to_string();
-    let version = parts.next().unwrap_or_default();
-    if method.is_empty() || target.is_empty() || !version.starts_with("HTTP/1.") {
-        return Err(BadRequest(format!("bad request line `{start}`")));
-    }
-    if !target.starts_with('/') {
-        return Err(BadRequest(format!("bad target `{target}`")));
-    }
-    let path = target.split('?').next().unwrap_or(&target).to_string();
-
-    let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
-        let line = read_line(&mut r)?;
-        if line.is_empty() {
-            let mut body = vec![0u8; content_length];
-            if content_length > 0 {
-                r.read_exact(&mut body)
-                    .map_err(|e| BadRequest(format!("short body: {e}")))?;
-            }
-            return Ok(Request { method, path, body });
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(BadRequest(format!("bad header `{line}`")));
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| BadRequest(format!("bad content-length `{value}`")))?;
-            if content_length > MAX_BODY {
-                return Err(BadRequest(format!("body too large ({content_length} bytes)")));
-            }
-        }
-    }
-    Err(BadRequest("too many headers".to_string()))
-}
-
 fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -203,31 +136,6 @@ fn reason(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Unknown",
     }
-}
-
-/// Writes a complete response and flushes. Errors are returned so the
-/// handler can count them, but a client that hung up mid-response is not a
-/// server failure.
-pub fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    respond_bytes(stream, status, content_type, body.as_bytes())
-}
-
-/// Byte-body variant of [`respond`] for binary payloads (trace files).
-pub fn respond_bytes(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    let head = response_head(status, content_type, Some(body.len()));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
 }
 
 /// Builds a response head. `content_length: None` produces a
@@ -367,50 +275,36 @@ pub fn client_request(
     Ok(Response { status, body })
 }
 
+/// Delay from a job submit to the client's first status poll.
+const FIRST_POLL: Duration = Duration::from_millis(1);
+
+/// The status-poll schedule every job-API client follows: the first poll
+/// 1 ms after the submit, then the interval doubles up to a cap. A job a
+/// node answers from its caches is seen done within a millisecond or two;
+/// a long one costs one poll per cap interval.
+#[derive(Debug)]
+pub struct PollPace {
+    next: Duration,
+    cap: Duration,
+}
+
+impl PollPace {
+    /// A schedule whose interval doubles up to `cap`.
+    #[must_use]
+    pub fn new(cap: Duration) -> PollPace {
+        PollPace { next: FIRST_POLL.min(cap), cap }
+    }
+
+    /// Sleeps until the next poll is due.
+    pub fn wait(&mut self) {
+        std::thread::sleep(self.next);
+        self.next = (self.next * 2).min(self.cap);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-
-    fn roundtrip(raw: &str) -> Result<Request, BadRequest> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
-        let t = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(raw.as_bytes()).unwrap();
-        });
-        let (mut s, _) = listener.accept().unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let req = read_request(&mut s);
-        t.join().unwrap();
-        req
-    }
-
-    #[test]
-    fn parses_post_with_body() {
-        let req = roundtrip(
-            "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody",
-        )
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/jobs");
-        assert_eq!(req.body, b"body");
-    }
-
-    #[test]
-    fn strips_query_and_requires_http() {
-        let req = roundtrip("GET /metrics?x=1 HTTP/1.0\r\n\r\n").unwrap();
-        assert_eq!(req.path, "/metrics");
-        assert!(roundtrip("GET /x SPDY/9\r\n\r\n").is_err());
-        assert!(roundtrip("nonsense\r\n\r\n").is_err());
-    }
-
-    #[test]
-    fn rejects_oversized_bodies() {
-        let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        assert!(roundtrip(&raw).is_err());
-    }
 
     #[test]
     fn try_parse_handles_split_arrivals() {
@@ -440,6 +334,19 @@ mod tests {
         // Bare-\n line endings parse like \r\n ones.
         let (req, _) = try_parse(b"GET /healthz HTTP/1.1\n\n").unwrap().unwrap();
         assert_eq!(req.path, "/healthz");
+    }
+
+    #[test]
+    fn poll_pace_starts_at_1_ms_and_doubles_to_its_cap() {
+        let mut pace = PollPace::new(Duration::from_millis(20));
+        let mut seen = Vec::new();
+        for _ in 0..7 {
+            seen.push(pace.next.as_millis());
+            pace.wait();
+        }
+        assert_eq!(seen, [1, 2, 4, 8, 16, 20, 20]);
+        let capped = PollPace::new(Duration::ZERO);
+        assert_eq!(capped.next, Duration::ZERO, "the cap bounds the first poll");
     }
 
     #[test]

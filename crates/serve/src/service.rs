@@ -668,7 +668,7 @@ impl<E: Executor> Service<E> {
                     .unwrap_or("job panicked");
                 Exec::Failed { error: format!("execution panicked: {msg}"), transient: false }
             });
-            self.metrics.observe_ms(&self.metrics.exec_ms, t0.elapsed());
+            self.metrics.exec_ms.record(t0.elapsed());
             self.settle(id, exec);
         }
     }
@@ -688,7 +688,7 @@ impl<E: Executor> Service<E> {
                     self.done_cv.notify_all();
                     continue;
                 }
-                self.metrics.observe_ms(&self.metrics.queue_wait_ms, r.submitted.elapsed());
+                self.metrics.queue_wait_ms.record(r.submitted.elapsed());
                 r.state = JobState::Running;
                 let job = (id, r.spec.clone(), r.deadline);
                 inner.busy += 1;

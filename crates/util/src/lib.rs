@@ -12,10 +12,14 @@
 //!   simulation results). `std`'s `DefaultHasher` is seeded per-process and
 //!   documented to change between releases, so it cannot key an on-disk or
 //!   cross-run cache.
+//!
+//! [`hist`] is the one millisecond latency-histogram schema that the
+//! runner, the job service and the load generator share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hist;
 mod inline_vec;
 mod shard;
 

@@ -1,23 +1,20 @@
-//! A lock-sharded concurrent map with a sorted-drain iteration adapter.
+//! A lock-sharded concurrent map.
 //!
 //! Replaces the pattern of one global `Mutex<BTreeMap>` protecting a
 //! memoization cache: lookups hash-select one of 16 shards (so concurrent
 //! workers rarely collide on a lock, and each probe is O(1) instead of a
-//! tree walk), while [`ShardMap::sorted_entries`] is the *only* way to see
-//! more than one entry at a time — it collects and key-sorts, so any path
-//! that drains a cache for diagnostics is deterministic by construction,
-//! not by keeping the lookup path ordered.
+//! tree walk). The map offers single-key access only — no view of more
+//! than one entry — so no caller can depend on hash order.
 //!
-//! Every lock acquisition's wait time is recorded in a histogram shaped
-//! like the runner's wall-time histograms (seven caller-supplied
-//! millisecond bounds, eighth bucket unbounded), so cache-lock contention
-//! is observable wherever the map is embedded.
+//! Every lock acquisition's wait time is recorded in a [`crate::hist`]
+//! histogram, the schema of the runner's wall-time histograms, so
+//! cache-lock contention is observable wherever the map is embedded.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use crate::hist::AtomicHist;
 use crate::{FastHashMap, FastHasher};
 
 const SHARDS: usize = 16;
@@ -26,23 +23,19 @@ const SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct ShardMap<K, V> {
     shards: Vec<Mutex<FastHashMap<K, V>>>,
-    bounds: [u64; 7],
     /// Lock-wait histogram per shard (summed on read): workers touch only
     /// their shard's counters, so observability never recreates the
     /// single contended cache line the sharding removed.
-    wait_hist: Vec<[AtomicU64; 8]>,
+    wait_hist: Vec<AtomicHist>,
 }
 
-impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
-    /// Creates an empty map. `bounds` are the upper bounds (milliseconds)
-    /// of the first seven lock-wait histogram buckets; the eighth is
-    /// unbounded.
+impl<K: Hash + Eq, V: Clone> ShardMap<K, V> {
+    /// Creates an empty map.
     #[must_use]
-    pub fn new(bounds: [u64; 7]) -> ShardMap<K, V> {
+    pub fn new() -> ShardMap<K, V> {
         ShardMap {
             shards: (0..SHARDS).map(|_| Mutex::new(FastHashMap::default())).collect(),
-            bounds,
-            wait_hist: (0..SHARDS).map(|_| std::array::from_fn(|_| AtomicU64::new(0))).collect(),
+            wait_hist: (0..SHARDS).map(|_| AtomicHist::default()).collect(),
         }
     }
 
@@ -55,7 +48,7 @@ impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
         // Only a blocked acquisition is actually timed.
         match self.shards[shard].try_lock() {
             Ok(guard) => {
-                self.wait_hist[shard][0].fetch_add(1, Ordering::Relaxed);
+                self.wait_hist[shard].record(Duration::ZERO);
                 return guard;
             }
             Err(std::sync::TryLockError::Poisoned(_)) => panic!("shard lock poisoned"),
@@ -63,9 +56,7 @@ impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
         }
         let t0 = Instant::now();
         let guard = self.shards[shard].lock().expect("shard lock poisoned");
-        let ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let idx = self.bounds.iter().position(|&b| ms <= b).unwrap_or(self.bounds.len());
-        self.wait_hist[shard][idx].fetch_add(1, Ordering::Relaxed);
+        self.wait_hist[shard].record(t0.elapsed());
         guard
     }
 
@@ -108,28 +99,17 @@ impl<K: Hash + Ord + Clone, V: Clone> ShardMap<K, V> {
         self.len() == 0
     }
 
-    /// The sorted-drain adapter: clones every entry and returns them in
-    /// ascending key order. This is the only multi-entry view of the map,
-    /// which is what keeps `no-unordered-iteration` satisfied by
-    /// construction for any diagnostic or report path built on top.
-    #[must_use]
-    pub fn sorted_entries(&self) -> Vec<(K, V)> {
-        let mut out: Vec<(K, V)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let guard = shard.lock().expect("shard lock poisoned");
-            out.extend(guard.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// The lock-wait histogram (bucket bounds as passed to [`ShardMap::new`],
-    /// last bucket unbounded).
+    /// The lock-wait histogram, summed over the shards.
     #[must_use]
     pub fn wait_hist(&self) -> [u64; 8] {
-        std::array::from_fn(|i| {
-            self.wait_hist.iter().map(|h| h[i].load(Ordering::Relaxed)).sum()
-        })
+        let shards: Vec<[u64; 8]> = self.wait_hist.iter().map(AtomicHist::snapshot).collect();
+        std::array::from_fn(|i| shards.iter().map(|h| h[i]).sum())
+    }
+}
+
+impl<K: Hash + Eq, V: Clone> Default for ShardMap<K, V> {
+    fn default() -> ShardMap<K, V> {
+        ShardMap::new()
     }
 }
 
@@ -143,7 +123,7 @@ mod tests {
 
     #[test]
     fn get_or_insert_returns_first_value() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         assert_eq!(m.get(&3), None);
         assert_eq!(m.get_or_insert_with(3, || 30), 30);
         assert_eq!(m.get_or_insert_with(3, || 99), 30);
@@ -157,22 +137,8 @@ mod tests {
     }
 
     #[test]
-    fn sorted_entries_are_key_ordered_across_shards() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
-        for k in (0..1000u64).rev() {
-            let _ = m.get_or_insert_with(k, || k * 2);
-        }
-        let entries = m.sorted_entries();
-        assert_eq!(entries.len(), 1000);
-        for (i, (k, v)) in entries.iter().enumerate() {
-            assert_eq!(*k, i as u64);
-            assert_eq!(*v, k * 2);
-        }
-    }
-
-    #[test]
     fn wait_histogram_counts_acquisitions() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         let _ = m.get(&1);
         let _ = m.get_or_insert_with(2, || 2);
         let hist = m.wait_hist();
@@ -181,7 +147,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_land_exactly_once() {
-        let m: ShardMap<u64, u64> = ShardMap::new([1, 4, 16, 64, 256, 1024, 4096]);
+        let m: ShardMap<u64, u64> = ShardMap::new();
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let m = &m;
@@ -193,8 +159,8 @@ mod tests {
             }
         });
         assert_eq!(m.len(), 200);
-        for (k, v) in m.sorted_entries() {
-            assert_eq!(v % 1000, k);
+        for k in 0..200u64 {
+            assert_eq!(m.get(&k).map(|v| v % 1000), Some(k));
         }
     }
 }

@@ -119,16 +119,6 @@ pub fn kernel_reference(kernel: Kernel, seed: u64) -> ReferenceWorld {
     reference_world(&program, |space, pm, alloc| kernel.setup(seed, space, pm, alloc))
 }
 
-/// Measures a kernel's intrinsic TLB-miss density: architectural misses per
-/// 1000 instructions over an `insts`-long reference run (the denominator of
-/// every penalty-per-miss metric, and our Table 2 analogue).
-#[must_use]
-pub fn kernel_miss_density(kernel: Kernel, seed: u64, insts: u64) -> f64 {
-    let mut world = kernel_reference(kernel, seed);
-    world.run(insts);
-    world.interp.dtlb_misses() as f64 * 1000.0 / world.interp.retired() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

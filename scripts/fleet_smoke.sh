@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the smtx fleet (the `fleet-smoke` CI job):
 #
-#   1. boot two smtxd nodes and an smtx-coord coordinator (round-robin
-#      placement, so the store-hit classification below is deterministic);
+#   1. boot two smtxd nodes and an smtx-coord coordinator (placement by
+#      spec-digest shard);
 #   2. submit a job through the coordinator and byte-compare the result
 #      fragment with the fig5 binary's --json output (DESIGN.md §15c);
-#   3. resubmit the same spec: must be answered from the fleet-wide
-#      result store and counted as a CROSS-NODE hit (round-robin has
-#      moved on, so the producing node differs from the current target);
+#   3. shut down the node that ran it, then submit cheap compress specs
+#      over a fixed seed list until one homed to the dead node fails over
+#      to the survivor (`smtx_coord_redispatches` reaches 1); shard homes
+#      are a pure function of the spec, so the same seed wins every run.
+#      Resubmitting that spec must be answered from the fleet-wide result
+#      store and counted as a CROSS-NODE hit (its producer is not its
+#      home);
 #   4. stream a batch through the coordinator via smtx-client batch;
 #   5. drain the whole fleet with one `shutdown --fleet` and require the
 #      coordinator AND both nodes to exit cleanly.
@@ -55,15 +59,14 @@ scrape_addr() { # logfile prefix pid -> prints bound addr once it appears
     echo "$prefix did not report its address" >&2; cat "$log" >&2; return 1
 }
 
-# 1. Two nodes, one coordinator, round-robin placement.
+# 1. Two nodes, one coordinator.
 "$SMTXD" --port 0 --workers 1 > "$WORK/node0.log" 2>&1 &
 NODE0_PID=$!
 "$SMTXD" --port 0 --workers 1 > "$WORK/node1.log" 2>&1 &
 NODE1_PID=$!
 NODE0=$(scrape_addr "$WORK/node0.log" smtxd "$NODE0_PID")
 NODE1=$(scrape_addr "$WORK/node1.log" smtxd "$NODE1_PID")
-"$COORD" --port 0 --node "$NODE0" --node "$NODE1" \
-    --placement round-robin > "$WORK/coord.log" 2>&1 &
+"$COORD" --port 0 --node "$NODE0" --node "$NODE1" > "$WORK/coord.log" 2>&1 &
 COORD_PID=$!
 ADDR=$(scrape_addr "$WORK/coord.log" smtx-coord "$COORD_PID")
 echo "fleet up: coordinator $ADDR over $NODE0 + $NODE1"
@@ -81,8 +84,33 @@ for field in ("experiment", "insts", "seed", "columns", "rows"):
 print(f"fleet rows identical to direct fig5 ({len(served['rows'])} rows)")
 EOF
 
-# 3. Resubmission: a cross-node store hit, by construction.
-RESUBMIT=$("$CLIENT" --addr "$ADDR" submit --experiment fig5 --insts "$INSTS" --seed "$SEED")
+# 3. Failover, then a cross-node store hit. Shut down the node the fig5
+#    job ran on; the first compress spec homed to it is refused there,
+#    marks it dead and runs on the survivor.
+metric() { "$CLIENT" --addr "$ADDR" metrics | sed -n "s/^$1 //p"; }
+if [[ $(metric smtx_coord_node_dispatched_0) == 1 ]]; then
+    DEAD=0 DEAD_ADDR=$NODE0 DEAD_PID=$NODE0_PID
+else
+    DEAD=1 DEAD_ADDR=$NODE1 DEAD_PID=$NODE1_PID
+fi
+"$CLIENT" --addr "$DEAD_ADDR" shutdown > /dev/null
+for _ in $(seq 1 150); do
+    kill -0 "$DEAD_PID" 2>/dev/null || break
+    sleep 0.2
+done
+FAILOVER=""
+for seed in $(seq 1 32); do
+    "$CLIENT" --addr "$ADDR" submit --kernel compress --insts 2000 --seed "$seed" \
+        --wait --out /dev/null
+    if [[ $(metric smtx_coord_redispatches) == 1 ]]; then
+        FAILOVER=$seed
+        break
+    fi
+done
+[[ -n "$FAILOVER" ]] \
+    || { echo "no compress seed in 1..32 is homed to node $DEAD" >&2; exit 1; }
+echo "node $DEAD shut down; compress seed $FAILOVER failed over to the survivor"
+RESUBMIT=$("$CLIENT" --addr "$ADDR" submit --kernel compress --insts 2000 --seed "$FAILOVER")
 echo "$RESUBMIT" | grep -q '"deduped": true' \
     || { echo "resubmission was not deduped: $RESUBMIT" >&2; exit 1; }
 METRICS=$("$CLIENT" --addr "$ADDR" metrics)

@@ -7,7 +7,8 @@
 //!    rows embed exactly what the figure binary computes for the spec.
 //! 2. **Shared result store** — resubmitting a finished spec is answered
 //!    from the fleet-wide store without dispatching, and a hit produced by
-//!    a different node than placement would pick is counted cross-node.
+//!    a node other than the spec's home (here: after failover) is counted
+//!    cross-node.
 //! 3. **Work stealing** — jobs homed to a deep node run elsewhere, and
 //!    the steal is counted.
 //! 4. **Failure redispatch** — killing a node mid-job re-dispatches its
@@ -17,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use smtx_bench::{figures, Args, Experiment};
-use smtx_fleet::{home_of, CoordConfig, Placement};
+use smtx_fleet::{home_of, CoordConfig};
 use smtx_serve::http::client_request;
 use smtx_serve::json::Json;
 use smtx_serve::{server, JobSpec, ServiceConfig};
@@ -91,9 +92,8 @@ fn coordinator_serves_node_bytes_and_counts_cross_node_store_hits() {
         "127.0.0.1:0",
         CoordConfig {
             nodes: vec![n0.addr().to_string(), n1.addr().to_string()],
-            placement: Placement::RoundRobin,
-            // No stealing here: keep round-robin placement exact so the
-            // cross-node classification below is deterministic.
+            // No stealing here: only the failover below moves a job off
+            // its home, so the cross-node classification is deterministic.
             steal_depth: u64::MAX,
             dispatchers: 2,
             ..CoordConfig::default()
@@ -108,28 +108,36 @@ fn coordinator_serves_node_bytes_and_counts_cross_node_store_hits() {
     let (s, b) = post(&addr, "/v1/jobs", r#"{"kernel": "spice"}"#);
     assert_eq!(s, 400, "{b}");
 
-    // Round-robin with two nodes: the first job runs on node 0 and the
-    // pointer moves to node 1.
-    let spec = r#"{"experiment": "table2", "insts": 3000, "seed": 7}"#;
-    let id = submit(&addr, spec);
+    // A spec homed to node 0, whose node is cleanly shut down first: the
+    // coordinator's refused submit marks node 0 dead and redispatches the
+    // job to node 1.
+    let (spec, seed) = (0u64..)
+        .map(|seed| (format!(r#"{{"experiment": "table2", "insts": 3000, "seed": {seed}}}"#), seed))
+        .find(|(body, _)| {
+            let spec = JobSpec::from_json(&Json::parse(body).unwrap()).unwrap();
+            home_of(&spec.id(), 2) == 0
+        })
+        .unwrap();
+    n0.shutdown_and_join();
+    let id = submit(&addr, &spec);
     let via_coord = wait(&addr, &id).expect("fleet job");
 
     // Byte-identity, hop by hop: the coordinator's body is the executing
     // node's result endpoint's body, verbatim...
-    let (ns, node_bytes) = get(&n0.addr().to_string(), &format!("/v1/jobs/{id}/result"));
-    assert_eq!(ns, 200, "the job must have run on node 0: {node_bytes}");
+    let (ns, node_bytes) = get(&n1.addr().to_string(), &format!("/v1/jobs/{id}/result"));
+    assert_eq!(ns, 200, "the job must have run on node 1: {node_bytes}");
     assert_eq!(via_coord, node_bytes, "coordinator must not alter result bytes");
     // ...and its rows embed exactly what the figure binary computes.
-    let args = Args { insts: 3_000, seed: 7, jobs: 2, ..Args::default() };
+    let args = Args { insts: 3_000, seed, jobs: 2, ..Args::default() };
     let mut exp = Experiment::with_args("table2", args).quiet();
     assert!(figures::run_named("table2", &mut exp));
     let rows = exp.into_report().rows_json();
     assert!(via_coord.contains(&rows), "served rows must match the binary's:\n{rows}");
 
     // Resubmission: answered from the fleet store without dispatching.
-    // Placement would now pick node 1; node 0 produced the entry — a
-    // cross-node hit by construction.
-    let (s, b) = post(&addr, "/v1/jobs", spec);
+    // The spec's home is node 0; node 1 produced the entry — a cross-node
+    // hit by construction.
+    let (s, b) = post(&addr, "/v1/jobs", &spec);
     assert_eq!(s, 200, "{b}");
     assert!(b.contains("\"deduped\": true"), "{b}");
     let again = wait(&addr, &id).expect("stored job");
@@ -141,9 +149,10 @@ fn coordinator_serves_node_bytes_and_counts_cross_node_store_hits() {
     assert_eq!(metric(&m, "smtx_coord_store_cross_node_hits"), 1);
     assert_eq!(metric(&m, "smtx_coord_store_insertions"), 1);
     assert_eq!(metric(&m, "smtx_coord_steals"), 0);
-    assert_eq!(metric(&m, "smtx_coord_redispatches"), 0);
-    assert_eq!(metric(&m, "smtx_coord_node_dispatched_0"), 1);
-    assert_eq!(metric(&m, "smtx_coord_node_dispatched_1"), 0);
+    assert_eq!(metric(&m, "smtx_coord_redispatches"), 1, "the refused submit");
+    assert_eq!(metric(&m, "smtx_coord_node_alive_0"), 0);
+    assert_eq!(metric(&m, "smtx_coord_node_dispatched_0"), 1, "the refused submit");
+    assert_eq!(metric(&m, "smtx_coord_node_dispatched_1"), 1);
 
     // A batch through the coordinator: the stored spec streams the same
     // bytes yet again; an invalid spec fails in its own frame.
@@ -190,7 +199,6 @@ fn coordinator_serves_node_bytes_and_counts_cross_node_store_hits() {
     assert_eq!(metric(&m, "smtx_coord_store_hits"), 2, "batch resubmit hits the store too");
 
     coord.shutdown_and_join();
-    n0.shutdown_and_join();
     n1.shutdown_and_join();
 }
 
@@ -205,7 +213,6 @@ fn jobs_homed_to_a_deep_node_are_stolen_to_an_idle_one() {
         "127.0.0.1:0",
         CoordConfig {
             nodes: vec![n0.addr().to_string(), n1.addr().to_string()],
-            placement: Placement::Shard,
             steal_depth: 1,
             dispatchers: 8,
             ..CoordConfig::default()
@@ -263,7 +270,6 @@ fn killing_a_node_redispatches_in_flight_jobs_without_changing_bytes() {
         "127.0.0.1:0",
         CoordConfig {
             nodes: vec![n0.addr().to_string(), n1.addr().to_string()],
-            placement: Placement::Shard,
             steal_depth: u64::MAX, // placement sticks to the home node
             dispatchers: 4,
             node_timeout_ms: 2_000,

@@ -203,6 +203,30 @@ fn fig3_work_counts_are_exact_and_job_count_independent() {
     }
 }
 
+/// Fig. 7's mix path has exact work counts too: its batch carries every
+/// thread's reference window and all five configurations of each mix, so
+/// the counters do not depend on the worker count or on repetition.
+#[test]
+fn fig7_work_counts_are_exact_and_job_count_independent() {
+    let counts = |jobs: usize| {
+        let args = Args { insts: 500, seed: SEED, jobs, skip: 2_000, ..Args::default() };
+        let mut exp = Experiment::with_args("fig7", args).quiet();
+        figures::fig7(&mut exp);
+        let s = exp.runner.stats();
+        (s.unique_runs, s.cache_hits, s.checkpoint_hits, s.sim_cycles, s.checkpoint_bytes)
+    };
+    for rep in 0..3 {
+        for jobs in [1, 2] {
+            assert_eq!(
+                counts(jobs),
+                (51, 64, 51, 100_997, 72_685_896),
+                "fig7 --insts 500 --skip 2000 at --jobs {jobs}, repetition {rep} \
+                 (unique_runs, cache_hits, checkpoint_hits, sim_cycles, checkpoint_bytes)"
+            );
+        }
+    }
+}
+
 /// Table 4's "Perfect" column is the canonical perfect-TLB baseline that
 /// Fig. 5 already ran: after Fig. 5 on one runner, Table 4 adds only its
 /// two quick-start columns (16 runs over eight kernels), not a second
