@@ -626,7 +626,10 @@ impl Machine {
     pub(crate) fn retire_phase(&mut self, now: u64) {
         // Unlimited retirement bandwidth (paper §5.1): iterate to a fixed
         // point so a handler that finishes mid-pass unblocks its master in
-        // the same cycle.
+        // the same cycle. Handler/master splicing is the only way one
+        // context's retirement unblocks another's, so with no handler
+        // thread live one pass is the fixed point.
+        let spliced = !self.handlers.is_empty();
         loop {
             let mut progress = false;
             for tid in 0..self.threads.len() {
@@ -635,7 +638,7 @@ impl Machine {
                     progress = true;
                 }
             }
-            if !progress {
+            if !progress || !spliced {
                 break;
             }
         }

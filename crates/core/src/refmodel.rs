@@ -17,8 +17,16 @@
 //! It is also the functional fast-forward behind every checkpoint, so
 //! [`Interpreter::run`] keeps a cache that lives for exactly one call:
 //!
-//! * instruction slots predecoded lazily per physical code frame, reached
-//!   through a one-entry memo of the current fetch page's frame;
+//! * predecoded straight-line **blocks** per physical code frame, reached
+//!   through a one-entry memo of the current fetch page's frame. A block
+//!   may start at any word of the frame and runs to its first control
+//!   transfer or `HALT` (included), or to the frame's end; a word that
+//!   does not decode, or is privileged, ends the block before it and
+//!   fails when fetched on its own. A frame gets a block table when a
+//!   fetch repeats the memoized page; until then a fetch decodes one
+//!   instruction uncached, so a one-instruction `step` never allocates.
+//!   A block is built when its first word is fetched and shared as an
+//!   `Rc<[Inst]>`, so the execute loop walks a local slice;
 //! * a one-entry memo of the most recently used DTLB entry, checked before
 //!   the DTLB. A repeat hit on the most recently used entry cannot change
 //!   the DTLB's LRU order, so skipping the lookup leaves every later
@@ -26,14 +34,20 @@
 //!
 //! Within a call the cache follows four rules:
 //!
-//! 1. a store into a predecoded frame drops the slots it overwrote, so
-//!    self-modifying code executes what memory holds;
+//! 1. a store into a frame with a block table drops all of that frame's
+//!    blocks, so self-modifying code executes what memory holds;
 //! 2. a store into the space's page-table range drops both frame memos
 //!    (the fetch memo holds a page-table walk; the data memo only mirrors
 //!    a DTLB entry, so dropping it is merely conservative);
 //! 3. a DTLB lookup that bypasses the data memo resets it to the entry
 //!    just looked up or filled;
-//! 4. a misaligned PC is an error before it can index a slot.
+//! 4. a misaligned PC is an error before it can index a block.
+//!
+//! A store under rule 1 or 2 also ends the running block after the store,
+//! so the next fetch sees the new code or mapping. The loop writes `pc`
+//! and `retired` once per block; an error leaves both at the faulting
+//! instruction, with every instruction before it retired, exactly as
+//! single steps would.
 //!
 //! Nothing outlives the call because other code writes the same memory
 //! between calls: the `--check` lockstep oracle steps over the live
@@ -43,6 +57,7 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::rc::Rc;
 
 use smtx_isa::{Inst, Op};
 use smtx_mem::{AddressSpace, PhysMem, Tlb, VmError, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
@@ -108,24 +123,33 @@ pub struct RunSummary {
 /// Instruction slots per code frame, one per 4-byte word.
 const SLOTS: usize = (PAGE_SIZE / 4) as usize;
 
-/// One physical code frame's predecoded instructions.
+/// One physical code frame's predecoded blocks.
 struct CodeFrame {
     /// The frame's base physical address.
     base: u64,
-    /// `slots[i]` is the decoded word at `base + 4 * i`, or `None` until it
-    /// is next fetched. Empty until a second instruction is fetched from the
-    /// frame in one call, so a one-instruction `step` never allocates it.
-    slots: Vec<Option<Inst>>,
+    /// `blocks[i]` is the block that starts at the word `base + 4 * i`, or
+    /// `None` until that word is next fetched.
+    blocks: Vec<Option<Rc<[Inst]>>>,
+}
+
+/// What one fetch hands the execute loop.
+enum Fetched {
+    /// A lone instruction, decoded without caching: the frame has no block
+    /// table yet.
+    One(Inst),
+    /// The predecoded straight-line block starting at the fetched PC.
+    Block(Rc<[Inst]>),
 }
 
 /// The cache of one [`Interpreter::run`] call (see the module docs).
 struct Sweep {
     /// Physical range of the running space's page table.
     pt: Range<u64>,
-    /// Every code frame fetched from in this call.
+    /// Every code frame that has a block table.
     code: Vec<CodeFrame>,
-    /// VPN of the current fetch page and the index of its frame in `code`.
-    fetch: Option<(u64, usize)>,
+    /// VPN of the current fetch page, its frame's base, and the frame's
+    /// index in `code` once it has one.
+    fetch: Option<(u64, u64, Option<usize>)>,
     /// VPN and frame of the DTLB's most recently used entry.
     data: Option<(u64, u64)>,
 }
@@ -135,59 +159,88 @@ impl Sweep {
         Sweep { pt: space.pt_range(), code: Vec::new(), fetch: None, data: None }
     }
 
-    /// Fetches and decodes the user-mode instruction at `pc`.
-    fn fetch(&mut self, pm: &PhysMem, space: &AddressSpace, pc: u64) -> Result<Inst, RefError> {
+    /// Fetches the user-mode code at `pc`: its block once the frame has a
+    /// block table, else the lone decoded instruction.
+    fn fetch(&mut self, pm: &PhysMem, space: &AddressSpace, pc: u64) -> Result<Fetched, RefError> {
         let vpn = pc >> PAGE_SHIFT;
-        let (idx, repeat) = match self.fetch {
-            Some((v, idx)) if v == vpn => (idx, true),
+        let (base, idx) = match self.fetch {
+            Some((v, base, idx)) if v == vpn => {
+                (base, Some(idx.unwrap_or_else(|| self.frame(base))))
+            }
             _ => {
                 let pa = space.translate(pm, pc).map_err(|source| RefError::Vm { pc, source })?;
                 let base = pa & !PAGE_MASK;
-                let idx = self.code.iter().position(|c| c.base == base).unwrap_or_else(|| {
-                    self.code.push(CodeFrame { base, slots: Vec::new() });
-                    self.code.len() - 1
-                });
-                self.fetch = Some((vpn, idx));
-                (idx, false)
+                (base, self.code.iter().position(|c| c.base == base))
             }
         };
+        self.fetch = Some((vpn, base, idx));
         if !pc.is_multiple_of(4) {
             return Err(RefError::MisalignedFetch { pc });
         }
+        let slot = ((pc & PAGE_MASK) / 4) as usize;
+        let Some(idx) = idx else {
+            return decode(pm, base, slot, pc).map(Fetched::One);
+        };
         let frame = &mut self.code[idx];
-        let off = pc & PAGE_MASK;
-        let slot = (off / 4) as usize;
-        if let Some(&Some(inst)) = frame.slots.get(slot) {
-            return Ok(inst);
+        if let Some(block) = &frame.blocks[slot] {
+            return Ok(Fetched::Block(Rc::clone(block)));
         }
-        let inst = Inst::decode(pm.read_u32(frame.base | off))
-            .map_err(|_| RefError::BadInstruction { pc })?;
-        if inst.op.is_privileged() {
-            return Err(RefError::PrivilegeViolation { pc, op: inst.op });
-        }
-        if repeat {
-            if frame.slots.is_empty() {
-                frame.slots = vec![None; SLOTS];
+        let mut block = vec![decode(pm, base, slot, pc)?];
+        while !ends_block(block[block.len() - 1].op) && slot + block.len() < SLOTS {
+            let at = slot + block.len();
+            match decode(pm, base, at, pc + 4 * (at - slot) as u64) {
+                Ok(inst) => block.push(inst),
+                // The faulting word starts a block of its own and fails there.
+                Err(_) => break,
             }
-            frame.slots[slot] = Some(inst);
         }
-        Ok(inst)
+        let block: Rc<[Inst]> = block.into();
+        frame.blocks[slot] = Some(Rc::clone(&block));
+        Ok(Fetched::Block(block))
     }
 
-    /// Applies invalidation rules 1 and 2 to an 8-byte store at `pa`.
-    fn stored(&mut self, pa: u64) {
-        if self.pt.contains(&pa) {
+    /// Adds the frame at `base` to `code` with an empty block table and
+    /// returns its index.
+    fn frame(&mut self, base: u64) -> usize {
+        self.code.push(CodeFrame { base, blocks: vec![None; SLOTS] });
+        self.code.len() - 1
+    }
+
+    /// Applies invalidation rules 1 and 2 to an 8-byte store at `pa`;
+    /// `true` if the running block must end after the store.
+    fn stored(&mut self, pa: u64) -> bool {
+        let in_pt = self.pt.contains(&pa);
+        if in_pt {
             self.fetch = None;
             self.data = None;
         }
         let base = pa & !PAGE_MASK;
-        if let Some(frame) = self.code.iter_mut().find(|c| c.base == base) {
-            if !frame.slots.is_empty() {
-                let slot = ((pa & PAGE_MASK) / 4) as usize;
-                frame.slots[slot..slot + 2].fill(None);
+        let in_code = match self.code.iter_mut().find(|c| c.base == base) {
+            Some(frame) => {
+                frame.blocks.fill(None);
+                true
             }
-        }
+            None => false,
+        };
+        in_pt || in_code
     }
+}
+
+/// Decodes the user-mode word in `slot` of the code frame at `base`,
+/// fetched from `pc`.
+fn decode(pm: &PhysMem, base: u64, slot: usize, pc: u64) -> Result<Inst, RefError> {
+    let inst = Inst::decode(pm.read_u32(base | (slot as u64 * 4)))
+        .map_err(|_| RefError::BadInstruction { pc })?;
+    if inst.op.is_privileged() {
+        return Err(RefError::PrivilegeViolation { pc, op: inst.op });
+    }
+    Ok(inst)
+}
+
+/// Whether `op` is the last instruction of a block: a control transfer or
+/// `HALT`.
+fn ends_block(op: Op) -> bool {
+    op.branch_kind().is_some() || op == Op::Halt
 }
 
 /// The architectural interpreter for one thread.
@@ -245,9 +298,10 @@ impl Interpreter {
     /// DTLB starts cold and `retired` starts at zero, so miss and retirement
     /// counts cover only the resumed region — exactly what the two-tier
     /// engine needs to count misses inside a post-fast-forward measurement
-    /// window.
+    /// window. `r31` reads 0 whatever `int[31]` holds.
     #[must_use]
-    pub fn from_state(pc: u64, int: [u64; 32], fp: [u64; 32]) -> Interpreter {
+    pub fn from_state(pc: u64, mut int: [u64; 32], fp: [u64; 32]) -> Interpreter {
+        int[31] = 0;
         Interpreter {
             int,
             fp,
@@ -303,12 +357,9 @@ impl Interpreter {
         self.dtlb.flush();
     }
 
+    /// Reads `r` without a branch: `int[31]` is held at 0.
     fn read_int(&self, r: u8) -> u64 {
-        if r == 31 {
-            0
-        } else {
-            self.int[r as usize]
-        }
+        self.int[usize::from(r & 31)]
     }
 
     fn write_int(&mut self, r: u8, v: u64) {
@@ -338,9 +389,8 @@ impl Interpreter {
         sweep: &mut Sweep,
         pm: &PhysMem,
         space: &AddressSpace,
-        pc: u64,
         va: u64,
-    ) -> Result<u64, RefError> {
+    ) -> Result<u64, VmError> {
         let vpn = va >> PAGE_SHIFT;
         let frame = match sweep.data {
             Some((v, frame)) if v == vpn => frame,
@@ -349,9 +399,7 @@ impl Interpreter {
                     Some(frame) => frame,
                     None => {
                         self.dtlb_misses += 1;
-                        let frame = space
-                            .translate(pm, va & !PAGE_MASK)
-                            .map_err(|source| RefError::Vm { pc, source })?;
+                        let frame = space.translate(pm, va & !PAGE_MASK)?;
                         self.dtlb.insert(space.asid(), vpn, frame, None);
                         frame
                     }
@@ -363,7 +411,8 @@ impl Interpreter {
         Ok(frame | (va & PAGE_MASK))
     }
 
-    /// Executes one instruction: a one-instruction [`Interpreter::run`].
+    /// Executes one instruction: a one-instruction [`Interpreter::run`],
+    /// which decodes without caching and allocates nothing.
     ///
     /// # Errors
     ///
@@ -388,12 +437,26 @@ impl Interpreter {
     ) -> Result<RunSummary, RefError> {
         let mut sweep = Sweep::new(space);
         let start = self.retired;
-        while !self.halted && self.retired - start < max_insts {
+        loop {
+            let left = max_insts - (self.retired - start);
+            if self.halted || left == 0 {
+                return Ok(RunSummary { retired: self.retired - start, halted: self.halted });
+            }
             let pc = self.pc;
-            let inst = sweep.fetch(pm, space, pc)?;
-            self.execute(&mut sweep, pm, space, pc, inst)?;
+            let one;
+            let held;
+            let insts: &[Inst] = match sweep.fetch(pm, space, pc)? {
+                Fetched::One(inst) => {
+                    one = [inst];
+                    &one
+                }
+                Fetched::Block(block) => {
+                    held = block;
+                    &held[..held.len().min(usize::try_from(left).unwrap_or(usize::MAX))]
+                }
+            };
+            self.run_block(&mut sweep, pm, space, pc, insts)?;
         }
-        Ok(RunSummary { retired: self.retired - start, halted: self.halted })
     }
 
     /// Runs a measurement window of up to `insts` instructions or until
@@ -429,97 +492,168 @@ impl Interpreter {
         Ok(RunSummary { retired: self.retired - start, halted: self.halted })
     }
 
-    /// The one execute body: retires `inst`, fetched from `pc`.
-    fn execute(
+    /// The one execute body: retires the straight-line `insts` fetched
+    /// from `pc` onwards, then settles `pc` and `retired` once. It stops
+    /// early after a store that ends the block (see [`Sweep::stored`]) and,
+    /// on an error, leaves both at the faulting instruction.
+    fn run_block(
         &mut self,
         sweep: &mut Sweep,
         pm: &mut PhysMem,
         space: &AddressSpace,
         pc: u64,
-        inst: Inst,
+        insts: &[Inst],
     ) -> Result<(), RefError> {
-        let mut next_pc = pc.wrapping_add(4);
-        use Op::*;
-        match inst.op {
-            Add | Sub | Mul | Divu | And | Or | Xor | Sll | Srl | Sra | Cmpeq | Cmplt | Cmple
-            | Cmpult => {
-                let v = exec::int_rr(inst.op, self.read_int(inst.ra), self.read_int(inst.rb));
-                self.write_int(inst.rc, v);
-            }
-            Addi | Andi | Ori | Xori | Slli | Srli | Srai | Cmpeqi | Cmplti | Ldi | Shlori => {
-                let v = exec::int_ri(inst.op, self.read_int(inst.ra), inst.imm);
-                self.write_int(inst.rb, v);
-            }
-            Fadd | Fsub | Fmul | Fdiv => {
-                let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), self.read_fp(inst.rb));
-                self.write_fp(inst.rc, v);
-            }
-            Fsqrt => {
-                let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), 0);
-                self.write_fp(inst.rc, v);
-            }
-            Fcmpeq | Fcmplt => {
-                let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), self.read_fp(inst.rb));
-                self.write_int(inst.rc, v);
-            }
-            Itof => {
-                let v = exec::fp_rr(inst.op, self.read_int(inst.ra), 0);
-                self.write_fp(inst.rc, v);
-            }
-            Ftoi => {
-                let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), 0);
-                self.write_int(inst.rc, v);
-            }
-            Ldq | Fldq => {
-                let va = exec::align8(exec::effective_addr(self.read_int(inst.ra), inst.imm));
-                let pa = self.translate_data(sweep, pm, space, pc, va)?;
-                let v = pm.read_u64(pa);
-                if inst.op == Ldq {
-                    self.write_int(inst.rb, v);
-                } else {
-                    self.write_fp(inst.rb, v);
-                }
-            }
-            Stq | Fstq => {
-                let va = exec::align8(exec::effective_addr(self.read_int(inst.ra), inst.imm));
-                let pa = self.translate_data(sweep, pm, space, pc, va)?;
-                let v = if inst.op == Stq {
-                    self.read_int(inst.rb)
-                } else {
-                    self.read_fp(inst.rb)
-                };
-                pm.write_u64(pa, v);
-                sweep.stored(pa);
-            }
-            Beq | Bne | Blt | Bge | Bgt | Ble => {
-                if exec::branch_taken(inst.op, self.read_int(inst.ra)) {
-                    next_pc = exec::direct_target(pc, inst.imm);
-                }
-            }
-            Br => next_pc = exec::direct_target(pc, inst.imm),
-            Jal => {
-                self.write_int(inst.ra, pc.wrapping_add(4));
-                next_pc = exec::direct_target(pc, inst.imm);
-            }
-            Jr => next_pc = self.read_int(inst.rb),
-            Jalr => {
-                let target = self.read_int(inst.rb);
-                self.write_int(inst.ra, pc.wrapping_add(4));
-                next_pc = target;
-            }
-            Ret => next_pc = self.read_int(inst.ra),
-            Nop => {}
-            Halt => {
-                self.halted = true;
-                next_pc = pc;
-            }
-            Mfpr | Mtpr | Tlbwr | Rfe | Hardexc | Mtdst => {
-                unreachable!("privileged ops are rejected at fetch")
-            }
+        // Each integer op has its own arm, so the constant `op` folds the
+        // shared `exec` helper's own dispatch away.
+        macro_rules! rr {
+            ($op:ident, $inst:expr) => {{
+                let v = exec::int_rr($op, self.read_int($inst.ra), self.read_int($inst.rb));
+                self.write_int($inst.rc, v);
+            }};
         }
-        self.pc = next_pc;
-        self.retired += 1;
+        macro_rules! ri {
+            ($op:ident, $inst:expr) => {{
+                let v = exec::int_ri($op, self.read_int($inst.ra), $inst.imm);
+                self.write_int($inst.rb, v);
+            }};
+        }
+        macro_rules! branch {
+            ($op:ident, $inst:expr, $here:expr) => {{
+                let next = if exec::branch_taken($op, self.read_int($inst.ra)) {
+                    exec::direct_target($here, $inst.imm)
+                } else {
+                    $here.wrapping_add(4)
+                };
+                return self.settle(pc, $here, next);
+            }};
+        }
+        use Op::*;
+        let mut here = pc;
+        for &inst in insts {
+            match inst.op {
+                Add => rr!(Add, inst),
+                Sub => rr!(Sub, inst),
+                Mul => rr!(Mul, inst),
+                Divu => rr!(Divu, inst),
+                And => rr!(And, inst),
+                Or => rr!(Or, inst),
+                Xor => rr!(Xor, inst),
+                Sll => rr!(Sll, inst),
+                Srl => rr!(Srl, inst),
+                Sra => rr!(Sra, inst),
+                Cmpeq => rr!(Cmpeq, inst),
+                Cmplt => rr!(Cmplt, inst),
+                Cmple => rr!(Cmple, inst),
+                Cmpult => rr!(Cmpult, inst),
+                Addi => ri!(Addi, inst),
+                Andi => ri!(Andi, inst),
+                Ori => ri!(Ori, inst),
+                Xori => ri!(Xori, inst),
+                Slli => ri!(Slli, inst),
+                Srli => ri!(Srli, inst),
+                Srai => ri!(Srai, inst),
+                Cmpeqi => ri!(Cmpeqi, inst),
+                Cmplti => ri!(Cmplti, inst),
+                Ldi => ri!(Ldi, inst),
+                Shlori => ri!(Shlori, inst),
+                Fadd | Fsub | Fmul | Fdiv => {
+                    let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), self.read_fp(inst.rb));
+                    self.write_fp(inst.rc, v);
+                }
+                Fsqrt => {
+                    let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), 0);
+                    self.write_fp(inst.rc, v);
+                }
+                Fcmpeq | Fcmplt => {
+                    let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), self.read_fp(inst.rb));
+                    self.write_int(inst.rc, v);
+                }
+                Itof => {
+                    let v = exec::fp_rr(inst.op, self.read_int(inst.ra), 0);
+                    self.write_fp(inst.rc, v);
+                }
+                Ftoi => {
+                    let v = exec::fp_rr(inst.op, self.read_fp(inst.ra), 0);
+                    self.write_int(inst.rc, v);
+                }
+                Ldq | Fldq => {
+                    let va = exec::align8(exec::effective_addr(self.read_int(inst.ra), inst.imm));
+                    let pa = match self.translate_data(sweep, pm, space, va) {
+                        Ok(pa) => pa,
+                        Err(source) => return self.fault(pc, here, source),
+                    };
+                    let v = pm.read_u64(pa);
+                    if inst.op == Ldq {
+                        self.write_int(inst.rb, v);
+                    } else {
+                        self.write_fp(inst.rb, v);
+                    }
+                }
+                Stq | Fstq => {
+                    let va = exec::align8(exec::effective_addr(self.read_int(inst.ra), inst.imm));
+                    let pa = match self.translate_data(sweep, pm, space, va) {
+                        Ok(pa) => pa,
+                        Err(source) => return self.fault(pc, here, source),
+                    };
+                    let v = if inst.op == Stq {
+                        self.read_int(inst.rb)
+                    } else {
+                        self.read_fp(inst.rb)
+                    };
+                    pm.write_u64(pa, v);
+                    if sweep.stored(pa) {
+                        return self.settle(pc, here, here.wrapping_add(4));
+                    }
+                }
+                Beq => branch!(Beq, inst, here),
+                Bne => branch!(Bne, inst, here),
+                Blt => branch!(Blt, inst, here),
+                Bge => branch!(Bge, inst, here),
+                Bgt => branch!(Bgt, inst, here),
+                Ble => branch!(Ble, inst, here),
+                Br => return self.settle(pc, here, exec::direct_target(here, inst.imm)),
+                Jal => {
+                    self.write_int(inst.ra, here.wrapping_add(4));
+                    return self.settle(pc, here, exec::direct_target(here, inst.imm));
+                }
+                Jr => return self.settle(pc, here, self.read_int(inst.rb)),
+                Jalr => {
+                    let target = self.read_int(inst.rb);
+                    self.write_int(inst.ra, here.wrapping_add(4));
+                    return self.settle(pc, here, target);
+                }
+                Ret => return self.settle(pc, here, self.read_int(inst.ra)),
+                Nop => {}
+                Halt => {
+                    self.halted = true;
+                    return self.settle(pc, here, here);
+                }
+                Mfpr | Mtpr | Tlbwr | Rfe | Hardexc | Mtdst => {
+                    unreachable!("privileged ops are rejected at fetch")
+                }
+            }
+            here = here.wrapping_add(4);
+        }
+        self.pc = here;
+        self.retired += insts.len() as u64;
         Ok(())
+    }
+
+    /// Retires the block that started at `pc` through the instruction at
+    /// `last` and continues at `next`.
+    fn settle(&mut self, pc: u64, last: u64, next: u64) -> Result<(), RefError> {
+        self.retired += last.wrapping_sub(pc) / 4 + 1;
+        self.pc = next;
+        Ok(())
+    }
+
+    /// Retires the block that started at `pc` up to, not including, the
+    /// instruction at `here`, which failed to translate a data address.
+    fn fault(&mut self, pc: u64, here: u64, source: VmError) -> Result<(), RefError> {
+        self.retired += here.wrapping_sub(pc) / 4;
+        self.pc = here;
+        Err(RefError::Vm { pc: here, source })
     }
 }
 

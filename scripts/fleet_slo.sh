@@ -5,7 +5,9 @@
 #   1. boot two smtxd nodes and an smtx-coord coordinator;
 #   2. closed-loop run: budgets from FLEET_SLO.json `closed` — the
 #      loadgen exits nonzero on an SLO violation, a failed job, or any
-#      transport error;
+#      transport error. With the 64 closed jobs, the nearest-rank p99 is
+#      rank 64 of 64: the p99 budget gates the slowest job (usually the
+#      first cold compute), not a tail (DESIGN.md §15f);
 #   3. burst run: FLEET_SLO.json `burst` releases N simultaneous
 #      connections (256 in CI) through a barrier — this is the
 #      "sustains N concurrent connections" gate; completion without

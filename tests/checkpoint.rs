@@ -229,3 +229,29 @@ fn pinned_capture_digests() {
     assert_eq!(got, PINNED, "per-kernel capture digests");
     assert_eq!(mix, PINNED_MIX, "Fig. 7 mix {:?} capture digest", MIXES[0]);
 }
+
+/// Fast-forward distance of the `fig5-deep-ff` benchmark workload.
+const DEEP_SKIP: u64 = 24_000_000;
+
+/// The same gate at the benchmark's depth, where each capture sweeps 24M
+/// instructions through many more code and data pages than the 150k gate.
+/// Slow in a debug build, so it is ignored there and run optimized in CI.
+#[test]
+#[ignore = "deep sweep; run with --release -- --include-ignored"]
+fn pinned_deep_capture_digests() {
+    const PINNED: [(Kernel, u64); 8] = [
+        (Kernel::Alphadoom, 0xa584_8a79_7e74_8203),
+        (Kernel::Applu, 0xcd41_c393_504b_d4ce),
+        (Kernel::Compress, 0xfed3_745c_4df1_eaf3),
+        (Kernel::Deltablue, 0x8b6c_1355_14be_d537),
+        (Kernel::Gcc, 0xc3e2_bf3e_1645_e81b),
+        (Kernel::Hydro2d, 0xd5d7_5a46_879c_d615),
+        (Kernel::Murphi, 0xc0a1_53aa_96c2_dbd5),
+        (Kernel::Vortex, 0x72e3_9902_7f66_66fb),
+    ];
+    let got: Vec<(Kernel, u64)> = PINNED
+        .iter()
+        .map(|&(k, _)| (k, restored_digest(&make_checkpoint(k, SEED, DEEP_SKIP))))
+        .collect();
+    assert_eq!(got, PINNED, "per-kernel capture digests at depth {DEEP_SKIP}");
+}

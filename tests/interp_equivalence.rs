@@ -4,7 +4,9 @@
 //! image — for random programs, every kernel, and the cases the cache has
 //! to invalidate for: self-modifying code, page-table stores that remap a
 //! data page or the running code page, and fetch across a code-page
-//! boundary. A misaligned jump target is an error, not a panic.
+//! boundary. `run` executes predecoded straight-line blocks, so each way a
+//! block ends early or is entered mid-way is a case too. A misaligned jump
+//! target is an error, not a panic.
 
 use smtx::core::{Interpreter, RefError, RunSummary};
 use smtx::isa::{ProgramBuilder, Reg};
@@ -268,4 +270,182 @@ fn misaligned_jump_target_is_an_error() {
     let err = w.interp.step(&mut w.pm, &mut w.space).unwrap_err();
     assert_eq!(err, RefError::MisalignedFetch { pc: p.base() + 2 });
     assert!(err.to_string().contains("misaligned"));
+}
+
+
+#[test]
+fn store_over_a_later_slot_of_the_running_block() {
+    // The loop's block stores over two of its own later instructions: the
+    // first pass stores `+100` words, later passes `+10` words, and each
+    // pass must run what it has just stored.
+    let hundred = words(|b| {
+        b.addi(Reg(5), Reg(5), 100);
+        b.addi(Reg(5), Reg(5), 100);
+    });
+    let ten = words(|b| {
+        b.addi(Reg(5), Reg(5), 10);
+        b.addi(Reg(5), Reg(5), 10);
+    });
+    let quad = |w: &[u32]| u64::from(w[0]) | u64::from(w[1]) << 32;
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), 3);
+    b.li(Reg(2), quad(&hundred));
+    b.li(Reg(4), quad(&ten));
+    let loop_at = smtx::isa::DEFAULT_CODE_BASE + 0x104;
+    let patch_at = loop_at + 4;
+    assert_eq!(patch_at % 8, 0, "the patched pair is one aligned quadword");
+    b.li(Reg(3), patch_at);
+    while b.here() < loop_at {
+        b.nop();
+    }
+    b.label("loop");
+    b.stq(Reg(2), Reg(3), 0);
+    assert_eq!(b.here(), patch_at, "the patched pair follows the store");
+    b.addi(Reg(5), Reg(5), 1);
+    b.addi(Reg(5), Reg(5), 1);
+    b.add(Reg(2), Reg(4), Reg(31));
+    b.addi(Reg(1), Reg(1), -1);
+    b.bne(Reg(1), "loop");
+    b.halt();
+    let p = b.build().unwrap();
+    let make = || reference_world(&p, |_, _, _| {});
+    let mut probe = make();
+    let n = run(&mut probe, 1_000).unwrap().retired + 2;
+    let out = sweep_every_split("store into the running block", make, n);
+    assert!(out.halted);
+    assert_eq!(out.int[5], 200 + 20 + 20, "each pass runs the words it stored");
+}
+
+#[test]
+fn page_table_store_in_the_middle_of_a_block() {
+    // Each pass of the loop remaps its own code page from inside a block,
+    // alternately onto a copy whose next instruction adds 10 and back onto
+    // the original, which adds 1.
+    let mut alloc = PhysAlloc::new();
+    let mut pm = PhysMem::new();
+    let space = AddressSpace::new(1, &mut pm, &mut alloc);
+    let code_pte = space.pte_addr(smtx::isa::DEFAULT_CODE_BASE).unwrap();
+    // The world below maps the code page and a spare, then allocates the copy.
+    let code = alloc.alloc_page();
+    let copy = code + 2 * PAGE_SIZE;
+    let (original, copied) = (Pte::valid(code).0, Pte::valid(copy).0);
+
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), 4);
+    b.li(Reg(8), ALIAS + (code_pte & PAGE_MASK));
+    b.li(Reg(9), copied);
+    b.li(Reg(10), original ^ copied);
+    b.label("loop");
+    b.stq(Reg(9), Reg(8), 0);
+    let changed = b.here();
+    b.addi(Reg(7), Reg(7), 1);
+    b.xor(Reg(9), Reg(9), Reg(10));
+    b.addi(Reg(1), Reg(1), -1);
+    b.bne(Reg(1), "loop");
+    b.halt();
+    let p = b.build().unwrap();
+    let replacement = words(|b| {
+        b.addi(Reg(7), Reg(7), 10);
+    })[0];
+    let make = || {
+        reference_world(&p, |space, pm, alloc| {
+            assert_eq!(space.translate(pm, p.base()).unwrap(), code);
+            space.map(pm, ALIAS, code_pte & !PAGE_MASK);
+            assert_eq!(alloc.alloc_page(), copy);
+            for (i, &w) in p.words().iter().enumerate() {
+                let va = p.base() + i as u64 * 4;
+                let w = if va == changed { replacement } else { w };
+                pm.write_u32(copy + (va & PAGE_MASK), w);
+            }
+        })
+    };
+    let mut probe = make();
+    let n = run(&mut probe, 1_000).unwrap().retired + 2;
+    let out = sweep_every_split("page-table store mid-block", make, n);
+    assert!(out.halted);
+    assert_eq!(out.int[7], 10 + 1 + 10 + 1, "fetch follows each remap at once");
+}
+
+#[test]
+fn data_fault_in_the_middle_of_a_block() {
+    // A loop walks a one-page array in half-page steps; its third load
+    // leaves the page from the middle of an already-built block.
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), DATA);
+    let loop_at = b.here();
+    b.label("loop");
+    b.addi(Reg(2), Reg(2), 1);
+    let load_at = b.here();
+    b.ldq(Reg(3), Reg(1), 0);
+    b.addi(Reg(4), Reg(4), 1);
+    b.addi(Reg(1), Reg(1), (PAGE_SIZE / 2) as i32);
+    b.br("loop");
+    let p = b.build().unwrap();
+    let make = || reference_world(&p, |space, pm, alloc| {
+        space.map_region(pm, alloc, DATA, 1);
+    });
+    let out = sweep_every_split("data fault mid-block", make, 20);
+    assert!(
+        matches!(out.error, Some(RefError::Vm { pc, .. }) if pc == load_at),
+        "{:?}",
+        out.error
+    );
+    let before = (loop_at - p.base()) / 4;
+    assert_eq!((out.pc, out.retired), (load_at, before + 2 * 5 + 1), "stopped at the load");
+    assert_eq!((out.int[2], out.int[4]), (3, 2), "nothing after the load retired");
+}
+
+#[test]
+fn jump_into_the_middle_of_a_built_block() {
+    // The loop's block from `top` runs three times before a branch enters
+    // it at `mid`, skipping its first instruction.
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), 3);
+    b.li(Reg(6), 2);
+    b.label("top");
+    b.addi(Reg(2), Reg(2), 1);
+    b.label("mid");
+    b.addi(Reg(3), Reg(3), 1);
+    b.addi(Reg(4), Reg(4), 1);
+    b.addi(Reg(1), Reg(1), -1);
+    b.bne(Reg(1), "top");
+    b.addi(Reg(6), Reg(6), -1);
+    b.li(Reg(1), 2);
+    b.bne(Reg(6), "mid");
+    b.halt();
+    let p = b.build().unwrap();
+    let make = || reference_world(&p, |_, _, _| {});
+    let mut probe = make();
+    let n = run(&mut probe, 1_000).unwrap().retired + 2;
+    let out = sweep_every_split("jump into a block", make, n);
+    assert!(out.halted);
+    assert_eq!((out.int[2], out.int[3], out.int[4]), (4, 5, 5));
+}
+
+#[test]
+fn block_ends_at_a_frame_boundary_without_a_branch() {
+    // The loop's first three instructions are the last words of the first
+    // code frame, so its block ends at the frame's end and the loop goes on
+    // in the next frame.
+    let mut b = ProgramBuilder::new();
+    b.li(Reg(1), 4);
+    b.br("loop");
+    while b.here() < smtx::isa::DEFAULT_CODE_BASE + PAGE_SIZE - 12 {
+        b.nop();
+    }
+    b.label("loop");
+    for _ in 0..3 {
+        b.addi(Reg(2), Reg(2), 1);
+    }
+    assert_eq!(b.here() & PAGE_MASK, 0, "the frame ends here, mid-loop");
+    b.addi(Reg(1), Reg(1), -1);
+    b.bne(Reg(1), "loop");
+    b.halt();
+    let p = b.build().unwrap();
+    let make = || reference_world(&p, |_, _, _| {});
+    let mut probe = make();
+    let n = run(&mut probe, 1_000).unwrap().retired + 2;
+    let out = sweep_every_split("frame-end block", make, n);
+    assert!(out.halted);
+    assert_eq!(out.int[2], 12);
 }
